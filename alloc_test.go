@@ -13,13 +13,13 @@ import (
 )
 
 // TestCollectorAllocs pins the metric-collector pass over a completed run.
-// The collectors iterate the history's derived views (Reads, Appends);
-// those are computed once and cached on the immutable history, so a full
-// pass over every registered metric costs a handful of small allocations
-// (per-collector scratch maps), not a per-collector rebuild and re-sort of
-// the read sequence. Measured ≈6 allocs/pass; the ceiling leaves headroom
-// for new collectors while still failing instantly if the history caching
-// regresses (which costs hundreds per pass).
+// The collectors walk the history's read list, which the recorder builds
+// as responses arrive, and compare chains by ancestor walks on the
+// history's parent table, so a full pass over every registered metric
+// costs a handful of small allocations (per-collector scratch maps), not
+// a per-read chain or a rebuild of the read sequence. Measured ≈6
+// allocs/pass; the ceiling leaves headroom for new collectors while still
+// failing instantly if reads are materialized again (hundreds per pass).
 func TestCollectorAllocs(t *testing.T) {
 	res, err := blockadt.Simulate("Bitcoin", blockadt.WithBlocks(30), blockadt.WithSeed(42))
 	if err != nil {

@@ -126,10 +126,6 @@ type SeqBlockTree struct {
 	tree *Tree
 	f    Selector
 	p    Predicate
-	// lastRead remembers the chain the previous ReadIDs returned, so the
-	// next read only walks the blocks appended since. The slice is shared
-	// with the recorded history and never mutated.
-	lastRead history.Chain
 }
 
 // NewSeq returns a sequential BT-ADT with parameters f and P.
@@ -180,18 +176,6 @@ func (s *SeqBlockTree) Update(parent BlockID, b Block) bool {
 
 // Read implements read(): it returns {b0}⌢f(bt).
 func (s *SeqBlockTree) Read() Chain { return s.f.Select(s.tree) }
-
-// ReadIDs is read() returning only the block ids of {b0}⌢f(bt) — the view
-// a read response is recorded with. Callers that drive reads for the
-// history and discard the chain use it to skip the []Block materialization.
-func (s *SeqBlockTree) ReadIDs() history.Chain {
-	ids, ok := s.tree.ChainIDsFrom(SelectTip(s.f, s.tree).ID, s.lastRead)
-	if !ok {
-		return history.Chain{GenesisID}
-	}
-	s.lastRead = ids
-	return ids
-}
 
 // Tree exposes the underlying tree for inspection.
 func (s *SeqBlockTree) Tree() *Tree { return s.tree }

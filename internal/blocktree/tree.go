@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"blockadt/internal/history"
 )
 
 // node is the slab entry for one block. Blocks are stored in a flat slice
@@ -227,50 +225,6 @@ func (t *Tree) chainToLocked(idx int32) Chain {
 		chain[t.nodes[i].block.Height] = t.nodes[i].block
 	}
 	return chain
-}
-
-// ChainIDsTo returns the ids of the path {b0}⌢…⌢{id} without copying the
-// blocks themselves — the id-only view read responses are recorded with.
-// For the provided selectors, the selected chain is exactly the root path
-// of the selected tip, so ChainIDsTo(SelectTip(f, t).ID) equals
-// f.Select(t).IDs() at a fraction of the copying.
-func (t *Tree) ChainIDsTo(id BlockID) (history.Chain, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.index[id]
-	if !ok {
-		return nil, false
-	}
-	out := make(history.Chain, t.nodes[i].block.Height+1)
-	for ; i >= 0; i = t.nodes[i].parent {
-		out[t.nodes[i].block.Height] = t.nodes[i].block.ID
-	}
-	return out, true
-}
-
-// ChainIDsFrom is ChainIDsTo accelerated by a previously returned chain of
-// the same tree: the walk stops as soon as it reaches a height where prev
-// names the same block — the tree is append-only, so a block's root path
-// never changes and the rest of prev can be copied instead of re-walked.
-// Periodic readers advance by a few blocks between reads, which turns the
-// O(height) parent walk into O(lag). prev is only read, never retained.
-func (t *Tree) ChainIDsFrom(id BlockID, prev history.Chain) (history.Chain, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.index[id]
-	if !ok {
-		return nil, false
-	}
-	out := make(history.Chain, t.nodes[i].block.Height+1)
-	for ; i >= 0; i = t.nodes[i].parent {
-		h := t.nodes[i].block.Height
-		if h < len(prev) && prev[h] == t.nodes[i].block.ID {
-			copy(out[:h+1], prev[:h+1])
-			break
-		}
-		out[h] = t.nodes[i].block.ID
-	}
-	return out, true
 }
 
 // Leaves returns the ids of the blocks with no children, sorted

@@ -110,7 +110,9 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("read counts differ: %d vs %d", len(ra), len(rb))
 	}
 	for i := range ra {
-		if ra[i].Chain.String() != rb[i].Chain.String() {
+		ca := a.History.Chain(a.History.Op(ra[i]).Chain)
+		cb := b.History.Chain(b.History.Op(rb[i]).Chain)
+		if ca.String() != cb.String() {
 			t.Fatalf("read %d differs", i)
 		}
 	}
@@ -151,9 +153,9 @@ func TestWritersParameter(t *testing.T) {
 	// 0 or 1.
 	res := RedBelly{}.Run(Params{N: 6, Writers: 2, TargetBlocks: 12, Seed: 3})
 	tree := treeOfBest(t, res)
-	for _, a := range res.History.SuccessfulAppends() {
-		if a.Op.Proc > 1 {
-			t.Fatalf("non-writer %d appended %s", a.Op.Proc, a.Block)
+	for _, id := range res.History.SuccessfulAppends() {
+		if a := res.History.Op(id); a.Proc > 1 {
+			t.Fatalf("non-writer %d appended %s", a.Proc, res.History.Name(a.Block))
 		}
 	}
 	_ = tree
@@ -164,8 +166,8 @@ func TestWritersParameter(t *testing.T) {
 func treeOfBest(t *testing.T, res Result) map[string]bool {
 	t.Helper()
 	blocks := map[string]bool{}
-	for _, a := range res.History.SuccessfulAppends() {
-		blocks[string(a.Block)] = true
+	for _, id := range res.History.SuccessfulAppends() {
+		blocks[string(res.History.Name(res.History.Op(id).Block))] = true
 	}
 	if len(blocks) == 0 {
 		t.Fatal("no successful appends recorded")
@@ -181,10 +183,11 @@ func TestHyperledgerRoundRobin(t *testing.T) {
 	if len(appends) < 6 {
 		t.Fatalf("appends = %d", len(appends))
 	}
+	ops := res.History.Ops()
 	for i := 1; i < len(appends); i++ {
-		want := (int(appends[i-1].Op.Proc) + 1) % 3
-		if int(appends[i].Op.Proc) != want {
-			t.Fatalf("append %d by p%d, want p%d (round-robin)", i, appends[i].Op.Proc, want)
+		want := (int(ops[appends[i-1]].Proc) + 1) % 3
+		if got := ops[appends[i]].Proc; int(got) != want {
+			t.Fatalf("append %d by p%d, want p%d (round-robin)", i, got, want)
 		}
 	}
 }

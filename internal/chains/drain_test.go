@@ -34,11 +34,13 @@ func TestDrainOutlastsJitterTails(t *testing.T) {
 		if len(reads) < n {
 			t.Fatalf("seed %d: only %d reads recorded", seed, len(reads))
 		}
+		h := res.History
 		final := reads[len(reads)-n:]
 		for i := 1; i < n; i++ {
-			if !chainsEqual(final[0].Chain, final[i].Chain) {
+			a, b := h.Op(final[0]), h.Op(final[i])
+			if ca, cb := h.Chain(a.Chain), h.Chain(b.Chain); !chainsEqual(ca, cb) {
 				t.Errorf("seed %d: final reads diverged after drain:\n  p%d: %s\n  p%d: %s",
-					seed, final[0].Op.Proc, final[0].Chain, final[i].Op.Proc, final[i].Chain)
+					seed, a.Proc, ca, b.Proc, cb)
 			}
 		}
 	}

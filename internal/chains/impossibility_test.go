@@ -72,7 +72,7 @@ func TestTheorem48ForkImpossibility(t *testing.T) {
 	if len(reads) != 2 {
 		t.Fatalf("reads = %d", len(reads))
 	}
-	c0, c1 := reads[0].Chain, reads[1].Chain
+	c0, c1 := h.Chain(h.Op(reads[0]).Chain), h.Chain(h.Op(reads[1]).Chain)
 	if c0.HasPrefix(c1) || c1.HasPrefix(c0) {
 		t.Fatalf("the construction failed to diverge: %s vs %s", c0, c1)
 	}

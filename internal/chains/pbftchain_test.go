@@ -53,9 +53,9 @@ func TestPBFTChainMatchesOracleAbstraction(t *testing.T) {
 func TestPBFTChainConsortium(t *testing.T) {
 	p := Params{N: 7, Writers: 3, TargetBlocks: 12, Seed: 11}
 	res := PBFTChain{}.Run(p)
-	for _, a := range res.History.SuccessfulAppends() {
-		if int(a.Op.Proc) >= 3 {
-			t.Fatalf("non-writer p%d appended %s", a.Op.Proc, a.Block)
+	for _, id := range res.History.SuccessfulAppends() {
+		if a := res.History.Op(id); int(a.Proc) >= 3 {
+			t.Fatalf("non-writer p%d appended %s", a.Proc, res.History.Name(a.Block))
 		}
 	}
 	if res.Blocks < p.TargetBlocks {

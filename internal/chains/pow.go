@@ -86,12 +86,6 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	}
 	sim := netsim.New(links, p.Seed)
 	orc := newProdigal(p)
-	// The history size is bounded by the run shape: per block roughly one
-	// append plus a (send, receive, update) record fan-out per replica, plus
-	// the periodic reads. Reserving up front keeps the recorder's append
-	// path reallocation-free.
-	ops := p.TargetBlocks*p.N*5 + p.N*16
-	sim.Recorder().Reserve(2*ops, ops)
 	done := false
 	reps := map[history.ProcID]*netsim.Replica{}
 	for i := 0; i < p.N; i++ {

@@ -215,8 +215,8 @@ func runSelfishMining(sc Scenario) Result {
 	}
 	h := sim.Recorder().Finalize()
 	mined := map[history.ProcID]int{}
-	for _, a := range h.SuccessfulAppends() {
-		mined[a.Op.Proc]++
+	for _, id := range h.SuccessfulAppends() {
+		mined[h.Op(id).Proc]++
 	}
 	for pID, n := range mined {
 		if pID == 0 {

@@ -8,8 +8,8 @@ import (
 
 // msgKey identifies a propagated update (bg, b_origin) as in Definition 4.3.
 type msgKey struct {
-	parent history.BlockRef
-	block  history.BlockRef
+	parent history.Ref
+	block  history.Ref
 }
 
 // procUniverse returns the correct-process universe: Options.Procs if set,
@@ -19,8 +19,8 @@ func procUniverse(h *history.History, opts Options) []history.ProcID {
 		return opts.Procs
 	}
 	seen := map[history.ProcID]bool{}
-	for _, e := range h.Events() {
-		seen[e.Proc] = true
+	for _, op := range h.Ops() {
+		seen[op.Proc] = true
 	}
 	out := make([]history.ProcID, 0, len(seen))
 	for p := range seen {
@@ -61,8 +61,8 @@ func UpdateAgreement(h *history.History, opts Options) Verdict {
 	}
 	var updates []history.Op
 	for _, op := range h.Ops() {
-		k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
-		switch op.Label.Kind {
+		k := msgKey{parent: op.Parent, block: op.Block}
+		switch op.Kind {
 		case history.KindSend:
 			put(sends, op.Proc, k, op.InvTime)
 		case history.KindReceive:
@@ -74,28 +74,29 @@ func UpdateAgreement(h *history.History, opts Options) Verdict {
 
 	checked := 0
 	for _, u := range updates {
-		k := msgKey{parent: u.Label.Parent, block: u.Label.Block}
-		if u.Label.Origin == u.Proc {
+		k := msgKey{parent: u.Parent, block: u.Block}
+		parent, block := string(h.Name(k.parent)), string(h.Name(k.block))
+		if u.Origin == u.Proc {
 			// R1: locally generated block must be sent.
 			checked++
 			if _, ok := sends[u.Proc][k]; !ok {
-				sink.addf("R1: update_%d(%s,%s) of own block without send", u.Proc, string(k.parent), string(k.block))
+				sink.addf("R1: update_%d(%s,%s) of own block without send", u.Proc, parent, block)
 			}
 		} else {
 			// R2: remote block must have been received first.
 			checked++
 			t, ok := receives[u.Proc][k]
 			if !ok {
-				sink.addf("R2: update_%d(%s,%s) without receive", u.Proc, string(k.parent), string(k.block))
+				sink.addf("R2: update_%d(%s,%s) without receive", u.Proc, parent, block)
 			} else if t > u.InvTime {
-				sink.addf("R2: update_%d(%s,%s) at t=%d precedes its receive at t=%d", u.Proc, string(k.parent), string(k.block), u.InvTime, t)
+				sink.addf("R2: update_%d(%s,%s) at t=%d precedes its receive at t=%d", u.Proc, parent, block, u.InvTime, t)
 			}
 		}
 		// R3: everyone eventually receives the update's block.
 		for _, p := range procs {
 			checked++
 			if _, ok := receives[p][k]; !ok {
-				sink.addf("R3: update of (%s,%s) but p%d never receives it", string(k.parent), string(k.block), p)
+				sink.addf("R3: update of (%s,%s) but p%d never receives it", parent, block, p)
 			}
 		}
 	}
@@ -126,8 +127,8 @@ func LRC(h *history.History, opts Options) Verdict {
 	}
 	var sendEvents []sendEvt
 	for _, op := range h.Ops() {
-		k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
-		switch op.Label.Kind {
+		k := msgKey{parent: op.Parent, block: op.Block}
+		switch op.Kind {
 		case history.KindSend:
 			sendEvents = append(sendEvents, sendEvt{proc: op.Proc, key: k})
 		case history.KindReceive:
@@ -145,14 +146,14 @@ func LRC(h *history.History, opts Options) Verdict {
 	for _, s := range sendEvents {
 		checked++
 		if m, ok := received[s.proc]; ok && !m[s.key] {
-			sink.addf("Validity: send_%d(%s,%s) never received by sender", s.proc, string(s.key.parent), string(s.key.block))
+			sink.addf("Validity: send_%d(%s,%s) never received by sender", s.proc, string(h.Name(s.key.parent)), string(h.Name(s.key.block)))
 		}
 	}
 	for _, k := range anyReceived {
 		for _, p := range procs {
 			checked++
 			if !received[p][k] {
-				sink.addf("Agreement: (%s,%s) received by some process but not by p%d", string(k.parent), string(k.block), p)
+				sink.addf("Agreement: (%s,%s) received by some process but not by p%d", string(h.Name(k.parent)), string(h.Name(k.block)), p)
 			}
 		}
 	}

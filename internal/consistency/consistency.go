@@ -57,13 +57,6 @@ type Options struct {
 	MaxViolations int
 }
 
-func (o Options) score() blocktree.Score {
-	if o.Score != nil {
-		return o.Score
-	}
-	return blocktree.LengthScore
-}
-
 func (o Options) window(nReads int) int {
 	if o.GraceWindow > 0 {
 		return o.GraceWindow
@@ -111,11 +104,18 @@ type violationSink struct {
 	out   []string
 }
 
-func (s *violationSink) addf(format string, args ...any) {
+// add counts one violation and renders its counterexample only while the
+// sink still keeps them: a failing property's later violations cost a
+// counter increment, not a formatted string.
+func (s *violationSink) add(text func() string) {
 	s.total++
 	if len(s.out) < s.max {
-		s.out = append(s.out, fmt.Sprintf(format, args...))
+		s.out = append(s.out, text())
 	}
+}
+
+func (s *violationSink) addf(format string, args ...any) {
+	s.add(func() string { return fmt.Sprintf(format, args...) })
 }
 
 func (s *violationSink) verdict(property string, checked int) Verdict {

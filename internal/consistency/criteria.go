@@ -1,11 +1,36 @@
 package consistency
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"blockadt/internal/blocktree"
 	"blockadt/internal/history"
 )
+
+// scorer scores a history's chains: by length when Options.Score is nil,
+// which needs no names, otherwise by the caller's Score on the rendered
+// chain.
+type scorer struct {
+	h     *history.History
+	score blocktree.Score
+}
+
+// chain scores chain c.
+func (s scorer) chain(c history.ChainID) int {
+	return s.prefix(c, s.h.ChainLen(c))
+}
+
+// prefix scores the first n blocks of chain c.
+func (s scorer) prefix(c history.ChainID, n int) int {
+	if s.score == nil {
+		return max(n-1, 0) // blocktree.LengthScore
+	}
+	return s.score(s.h.Chain(c)[:n])
+}
 
 // BlockValidity checks the Block validity property of Definition 3.2: every
 // block in a chain returned by a read() is valid and was inserted via an
@@ -18,40 +43,43 @@ import (
 func BlockValidity(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 
-	// earliest[b] = earliest time the block entered the system via an
-	// append invocation or an update event.
-	earliest := map[history.BlockRef]int64{}
-	note := func(b history.BlockRef, t int64) {
-		if b == "" {
-			return
-		}
-		if old, ok := earliest[b]; !ok || t < old {
-			earliest[b] = t
-		}
+	// earliest[b] = earliest time block b entered the system via an
+	// append invocation or an update event; math.MaxInt64 if never.
+	earliest := make([]int64, h.NumRefs())
+	for i := range earliest {
+		earliest[i] = math.MaxInt64
 	}
-	for _, op := range h.Ops() {
-		switch op.Label.Kind {
-		case history.KindAppend:
-			note(op.Label.Block, op.InvTime)
-		case history.KindUpdate:
-			note(op.Label.Block, op.InvTime)
+	ops := h.Ops()
+	for i := range ops {
+		op := &ops[i]
+		if (op.Kind == history.KindAppend || op.Kind == history.KindUpdate) &&
+			op.Block != history.NoRef && op.InvTime < earliest[op.Block] {
+			earliest[op.Block] = op.InvTime
 		}
 	}
 
+	genesis := h.Lookup(blocktree.GenesisID)
 	checked := 0
-	for _, r := range h.Reads() {
-		for _, b := range r.Chain {
-			if b == blocktree.GenesisID {
+	var chain []history.Ref
+	for _, id := range h.Reads() {
+		r := &ops[id]
+		chain = h.AppendChain(chain[:0], r.Chain)
+		for _, b := range chain {
+			if b == genesis {
 				continue
 			}
 			checked++
-			t, ok := earliest[b]
-			if !ok {
-				sink.addf("read by p%d returned %s containing %s, never appended", r.Op.Proc, r.Chain, string(b))
+			t := earliest[b]
+			if t == math.MaxInt64 {
+				sink.add(func() string {
+					return fmt.Sprintf("read by p%d returned %s containing %s, never appended", r.Proc, h.Chain(r.Chain), string(h.Name(b)))
+				})
 				continue
 			}
-			if t > r.Op.RspTime {
-				sink.addf("read by p%d (rsp t=%d) returned %s before its append/update (t=%d)", r.Op.Proc, r.Op.RspTime, string(b), t)
+			if t > r.RspTime {
+				sink.add(func() string {
+					return fmt.Sprintf("read by p%d (rsp t=%d) returned %s before its append/update (t=%d)", r.Proc, r.RspTime, string(h.Name(b)), t)
+				})
 			}
 		}
 	}
@@ -63,42 +91,42 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 // returned blockchain never decreases.
 func LocalMonotonicRead(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
-	score := opts.score()
-	last := map[history.ProcID]int{}
-	lastChain := map[history.ProcID]history.Chain{}
+	sc := scorer{h, opts.Score}
+	ops, reads := h.Ops(), h.Reads()
 	checked := 0
-	reads := h.Reads()
+	// Process order groups each process's reads together, so the
+	// previous read of the same process is the previous element.
+	var prev *history.Op
+	prevScore := 0
 	for _, i := range readsByProcessOrder(h) {
-		r := &reads[i]
-		s := score(r.Chain)
-		if prev, ok := last[r.Op.Proc]; ok {
+		r := &ops[reads[i]]
+		s := sc.chain(r.Chain)
+		if prev != nil && prev.Proc == r.Proc {
 			checked++
-			if s < prev {
-				sink.addf("p%d read %s (score %d) after %s (score %d)", r.Op.Proc, r.Chain, s, lastChain[r.Op.Proc], prev)
+			if s < prevScore {
+				sink.add(func() string {
+					return fmt.Sprintf("p%d read %s (score %d) after %s (score %d)", r.Proc, h.Chain(r.Chain), s, h.Chain(prev.Chain), prevScore)
+				})
 			}
 		}
-		last[r.Op.Proc] = s
-		lastChain[r.Op.Proc] = r.Chain
+		prev, prevScore = r, s
 	}
 	return sink.verdict("LocalMonotonicRead", checked)
 }
 
 // readsByProcessOrder returns the indexes into h.Reads() sorted by (proc,
-// invocation sequence): the per-process order ↦→. History.Reads returns a
-// shared cached slice, so the permutation is sorted instead of a private
-// copy of the (much larger) read records.
+// invocation sequence): the per-process order ↦→. History.Reads returns
+// the history's own slice, so the permutation is sorted instead. No two
+// reads share a key, so any sort algorithm yields this one order.
 func readsByProcessOrder(h *history.History) []int32 {
-	reads := h.Reads()
+	ops, reads := h.Ops(), h.Reads()
 	order := make([]int32, len(reads))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &reads[order[i]].Op, &reads[order[j]].Op
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.InvSeq < b.InvSeq
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &ops[reads[i]], &ops[reads[j]]
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.InvSeq, b.InvSeq))
 	})
 	return order
 }
@@ -110,22 +138,26 @@ func readsByProcessOrder(h *history.History) []int32 {
 // related, which brings the pairwise O(N²) property to O(N log N + N·L).
 func StrongPrefix(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
-	reads := h.Reads()
-	chains := make([]history.Chain, len(reads))
-	for i, r := range reads {
-		chains[i] = r.Chain
+	ops, reads := h.Ops(), h.Reads()
+	chains := make([]history.ChainID, len(reads))
+	lens := make([]int, len(reads))
+	for i, id := range reads {
+		chains[i] = ops[id].Chain
+		lens[i] = h.ChainLen(chains[i])
 	}
 	order := make([]int, len(chains))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return len(chains[order[a]]) < len(chains[order[b]]) })
+	sort.Slice(order, func(a, b int) bool { return lens[order[a]] < lens[order[b]] })
 	checked := 0
 	for i := 1; i < len(order); i++ {
 		a, b := chains[order[i-1]], chains[order[i]]
 		checked++
-		if !b.HasPrefix(a) {
-			sink.addf("neither of %s and %s prefixes the other", a, b)
+		if !h.IsPrefix(a, b) {
+			sink.add(func() string {
+				return fmt.Sprintf("neither of %s and %s prefixes the other", h.Chain(a), h.Chain(b))
+			})
 		}
 	}
 	return sink.verdict("StrongPrefix", checked)
@@ -145,30 +177,22 @@ func StrongPrefix(h *history.History, opts Options) Verdict {
 // recorded prefix still witnesses the infinite-append regime.
 func EverGrowingTree(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
-	score := opts.score()
-	reads := h.Reads() // response order
+	sc := scorer{h, opts.Score}
+	ops, reads := h.Ops(), h.Reads() // response order
 	w := opts.window(len(reads))
 	scores := make([]int, len(reads))
-	for i, r := range reads {
-		scores[i] = score(r.Chain)
+	for i, id := range reads {
+		scores[i] = sc.chain(ops[id].Chain)
 	}
 	// growthTimes holds the invocation times of growth events, sorted.
-	// Collected in one pass over the raw operations — building the
-	// per-kind cached views just to read invocation times would copy far
-	// more than this check needs.
-	var growthTimes []int64
-	for i := range h.Ops() {
-		op := &h.Ops()[i]
-		switch op.Label.Kind {
-		case history.KindAppend:
-			if op.Complete && op.Response.OK {
-				growthTimes = append(growthTimes, op.InvTime)
-			}
-		case history.KindUpdate:
+	growthTimes := make([]int64, 0, len(ops))
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind == history.KindUpdate || op.Kind == history.KindAppend && op.Complete && op.OK {
 			growthTimes = append(growthTimes, op.InvTime)
 		}
 	}
-	sort.Slice(growthTimes, func(a, b int) bool { return growthTimes[a] < growthTimes[b] })
+	slices.Sort(growthTimes)
 	growthAfter := func(t int64) int {
 		// Number of growth events invoked strictly after t.
 		lo, hi := 0, len(growthTimes)
@@ -183,8 +207,8 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 		return len(growthTimes) - lo
 	}
 	checked := 0
-	for i := range reads {
-		if growthAfter(reads[i].Op.RspTime) < w {
+	for i, ri := range reads {
+		if growthAfter(ops[ri].RspTime) < w {
 			continue // plateau region of the finite prefix: exempt
 		}
 		checked++
@@ -192,11 +216,13 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 			if scores[j] > scores[i] {
 				continue
 			}
-			if !history.RespondedBefore(reads[i].Op, reads[j].Op) {
+			if !history.RespondedBefore(ops[ri], ops[reads[j]]) {
 				continue
 			}
-			sink.addf("read#%d by p%d score %d still matched by read#%d by p%d score %d after grace window %d",
-				i, reads[i].Op.Proc, scores[i], j, reads[j].Op.Proc, scores[j], w)
+			sink.add(func() string {
+				return fmt.Sprintf("read#%d by p%d score %d still matched by read#%d by p%d score %d after grace window %d",
+					i, ops[ri].Proc, scores[i], j, ops[reads[j]].Proc, scores[j], w)
+			})
 			break
 		}
 	}
@@ -214,53 +240,60 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 // common prefix of the whole set, computable right-to-left in O(N·L).
 func EventualPrefix(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
-	score := opts.score()
-	reads := h.Reads()
+	sc := scorer{h, opts.Score}
+	ops, reads := h.Ops(), h.Reads()
 	w := opts.window(len(reads))
 	n := len(reads)
-	// suffixCP[j] = common prefix of chains[j..n-1].
+	chains := make([]history.ChainID, n)
+	for i, id := range reads {
+		chains[i] = ops[id].Chain
+	}
+	// The common prefix of chains[j..n-1] is the first cpLen blocks of
+	// the last chain; suffixCPScore[j] is its score.
 	suffixCPScore := make([]int, n+1)
-	var cp history.Chain
+	cpLen := 0
 	for j := n - 1; j >= 0; j-- {
 		if j == n-1 {
-			cp = reads[j].Chain
+			cpLen = h.ChainLen(chains[j])
 		} else {
-			cp = cp.CommonPrefix(reads[j].Chain)
+			cpLen = min(cpLen, h.CommonPrefixLen(chains[n-1], chains[j]))
 		}
-		suffixCPScore[j] = score(cp)
+		suffixCPScore[j] = sc.prefix(chains[n-1], cpLen)
 	}
 	suffixCPScore[n] = int(^uint(0) >> 1) // empty suffix: vacuously ∞
 	checked := 0
-	for i := range reads {
+	for i := range chains {
 		checked++
-		s := score(reads[i].Chain)
+		s := sc.chain(chains[i])
 		j := i + w
 		if j >= n {
 			continue // no mature pairs after rᵢ: vacuously satisfied
 		}
 		if suffixCPScore[j] < s {
-			// Locate a concrete violating pair for the report.
-			hi, ki := findDivergentPair(reads[j:], score, s)
-			sink.addf("read#%d score %d: reads #%d and #%d past window %d share prefix score %d < %d",
-				i, s, j+hi, j+ki, w, suffixCPScore[j], s)
+			sink.add(func() string {
+				// Locate a concrete violating pair for the report.
+				hi, ki := findDivergentPair(sc, chains[j:], s)
+				return fmt.Sprintf("read#%d score %d: reads #%d and #%d past window %d share prefix score %d < %d",
+					i, s, j+hi, j+ki, w, suffixCPScore[j], s)
+			})
 		}
 	}
 	return sink.verdict("EventualPrefix", checked)
 }
 
-// findDivergentPair returns indices (relative to reads) of a pair whose
+// findDivergentPair returns indices (relative to chains) of a pair whose
 // mcps is below s; it exists whenever the suffix common-prefix score is
 // below s.
-func findDivergentPair(reads []history.ReadOp, score blocktree.Score, s int) (int, int) {
-	for i := 1; i < len(reads); i++ {
-		if score(reads[0].Chain.CommonPrefix(reads[i].Chain)) < s {
+func findDivergentPair(sc scorer, chains []history.ChainID, s int) (int, int) {
+	for i := 1; i < len(chains); i++ {
+		if sc.prefix(chains[0], sc.h.CommonPrefixLen(chains[0], chains[i])) < s {
 			return 0, i
 		}
 	}
 	// The first chain agrees with everyone: divergence is among the
 	// rest; recurse linearly.
-	if len(reads) > 1 {
-		a, b := findDivergentPair(reads[1:], score, s)
+	if len(chains) > 1 {
+		a, b := findDivergentPair(sc, chains[1:], s)
 		return a + 1, b + 1
 	}
 	return 0, 0
@@ -277,29 +310,28 @@ func KForkCoherence(h *history.History, k int, opts Options) Verdict {
 	if k <= 0 {
 		return sink.verdict("KForkCoherence(∞)", 0)
 	}
-	children := map[history.BlockRef]map[history.BlockRef]bool{}
-	add := func(parent, child history.BlockRef) {
-		if parent == "" || child == "" {
-			return
+	children := map[history.Ref]map[history.Ref]bool{}
+	ops := h.Ops()
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind != history.KindUpdate && (op.Kind != history.KindAppend || !op.Complete || !op.OK) {
+			continue
 		}
-		m, ok := children[parent]
+		if op.Parent == history.NoRef || op.Block == history.NoRef {
+			continue
+		}
+		m, ok := children[op.Parent]
 		if !ok {
-			m = map[history.BlockRef]bool{}
-			children[parent] = m
+			m = map[history.Ref]bool{}
+			children[op.Parent] = m
 		}
-		m[child] = true
-	}
-	for _, a := range h.SuccessfulAppends() {
-		add(a.Op.Response.Parent, a.Block)
-	}
-	for _, op := range h.OpsOfKind(history.KindUpdate) {
-		add(op.Label.Parent, op.Label.Block)
+		m[op.Block] = true
 	}
 	checked := 0
 	for parent, kids := range children {
 		checked++
 		if len(kids) > k {
-			sink.addf("block %s has %d successful extensions, bound k=%d", string(parent), len(kids), k)
+			sink.addf("block %s has %d successful extensions, bound k=%d", string(h.Name(parent)), len(kids), k)
 		}
 	}
 	return sink.verdict("KForkCoherence", checked)

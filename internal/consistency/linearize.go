@@ -61,11 +61,11 @@ func collectLinOps(h *history.History) ([]linOp, error) {
 		if !op.Complete {
 			continue // pending ops may linearize anywhere; we drop them
 		}
-		switch op.Label.Kind {
+		switch op.Kind {
 		case history.KindRead:
-			ops = append(ops, linOp{op: op, read: true, chain: op.Response.Chain})
+			ops = append(ops, linOp{op: op, read: true, chain: h.Chain(op.Chain)})
 		case history.KindAppend:
-			ops = append(ops, linOp{op: op, ok: op.Response.OK, block: op.Label.Block})
+			ops = append(ops, linOp{op: op, ok: op.OK, block: h.Name(op.Block)})
 		}
 	}
 	if len(ops) > MaxLinearizeOps {

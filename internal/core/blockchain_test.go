@@ -59,8 +59,9 @@ func TestFig7AppendRefinementPath(t *testing.T) {
 	if len(appends) != 2 {
 		t.Fatalf("successful appends = %d", len(appends))
 	}
-	if appends[0].Op.Response.Parent != "b0" || appends[1].Op.Response.Parent != "bk" {
-		t.Fatalf("append parents = %s, %s", appends[0].Op.Response.Parent, appends[1].Op.Response.Parent)
+	p0, p1 := h.Name(h.Op(appends[0]).Parent), h.Name(h.Op(appends[1]).Parent)
+	if p0 != "b0" || p1 != "bk" {
+		t.Fatalf("append parents = %s, %s", p0, p1)
 	}
 }
 
@@ -112,7 +113,7 @@ func TestAppendTokenExhaustion(t *testing.T) {
 	}
 	// The failed append is still recorded (purged histories drop it).
 	h := bc.History()
-	if len(h.Appends()) != 1 || h.Appends()[0].OK {
+	if len(h.Appends()) != 1 || h.Op(h.Appends()[0]).OK {
 		t.Fatalf("appends = %+v", h.Appends())
 	}
 }
@@ -122,11 +123,11 @@ func TestReadRecordsHistory(t *testing.T) {
 	bc.Read(3)
 	h := bc.History()
 	reads := h.Reads()
-	if len(reads) != 1 || reads[0].Op.Proc != 3 {
+	if len(reads) != 1 || h.Op(reads[0]).Proc != 3 {
 		t.Fatalf("reads = %+v", reads)
 	}
-	if reads[0].Chain.String() != "b0" {
-		t.Fatalf("initial read = %s", reads[0].Chain)
+	if got := h.Chain(h.Op(reads[0]).Chain); got.String() != "b0" {
+		t.Fatalf("initial read = %s", got)
 	}
 }
 

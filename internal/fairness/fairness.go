@@ -65,13 +65,14 @@ func (r Report) String() string {
 // selfish mining attacks — count main-chain authorship and use FromCounts.
 func Analyze(h *history.History, merits []float64) Report {
 	counts := map[history.ProcID]int{}
-	seen := map[history.BlockRef]bool{}
-	for _, a := range h.SuccessfulAppends() {
+	seen := map[history.Ref]bool{}
+	for _, id := range h.SuccessfulAppends() {
+		a := h.Op(id)
 		if seen[a.Block] {
 			continue
 		}
 		seen[a.Block] = true
-		counts[a.Op.Proc]++
+		counts[a.Proc]++
 	}
 	return FromCounts(counts, merits)
 }

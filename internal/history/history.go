@@ -11,11 +11,25 @@
 // Histories are produced by a Recorder, which concurrent objects call around
 // each operation, and consumed immutably by the consistency checkers in
 // internal/consistency.
+//
+// # Representation
+//
+// A history is one append-only log of fixed-size Op records holding no
+// pointers: the invocation and response of an operation share a record,
+// and the event set E is derived from it (History.Events). Block names are
+// interned: records carry Refs into a per-history name table, so checkers
+// compare int32s and render names only in diagnostics. A read's result is
+// a ChainID, normally the tip of the chain: the parent relation the
+// recorder learns from append, send, receive and update labels turns the
+// tip back into the whole chain, and prefix tests become ancestor walks.
+// Chains that do not follow the recorded parents (hand-built histories)
+// are kept verbatim in a side arena.
 package history
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -64,19 +78,24 @@ func (c Chain) CommonPrefix(other Chain) Chain {
 
 // String renders the chain with the paper's b0⌢b1⌢… concatenation syntax.
 func (c Chain) String() string {
-	s := ""
-	for i, b := range c {
-		if i > 0 {
-			s += "⌢"
-		}
-		s += string(b)
+	n := 0
+	for _, ref := range c {
+		n += len(ref) + len("⌢")
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	for i, ref := range c {
+		if i > 0 {
+			b.WriteString("⌢")
+		}
+		b.WriteString(string(ref))
+	}
+	return b.String()
 }
 
 // Kind enumerates the operation kinds that appear in the histories of this
 // reproduction.
-type Kind int
+type Kind uint8
 
 // Operation kinds. Read and Append are the BT-ADT operations
 // (Definition 3.1); GetToken and ConsumeToken are the oracle operations
@@ -115,7 +134,8 @@ func (k Kind) String() string {
 }
 
 // Label is Λ(e): the operation an event belongs to, with its arguments and —
-// on responses — its result.
+// on responses — its result. It is the Recorder's input vocabulary; a
+// recorded history stores labels as Op records.
 type Label struct {
 	Kind Kind
 	// Block is the block argument of append/send/receive/update/propose,
@@ -155,8 +175,8 @@ func (t EventType) String() string {
 	return "rsp"
 }
 
-// OpID pairs an invocation event with its response event.
-type OpID int
+// OpID identifies an operation: its index in History.Ops.
+type OpID int32
 
 // Event is an element of E.
 type Event struct {
@@ -167,7 +187,7 @@ type Event struct {
 	Type EventType
 	// Proc is the process that produced the event.
 	Proc ProcID
-	// Op identifies the operation this event belongss to.
+	// Op identifies the operation this event belongs to.
 	Op OpID
 	// Label is Λ(e).
 	Label Label
@@ -181,140 +201,245 @@ func (e Event) String() string {
 	return fmt.Sprintf("e%d[p%d %s %s(%s) t=%d]", e.Seq, e.Proc, e.Type, e.Label.Kind, string(e.Label.Block), e.Time)
 }
 
-// Op is a completed (or pending) operation reconstructed from a history:
-// its invocation event and, when present, its response event.
+// Ref is an interned block name: an index into the history's name table
+// (History.Name renders it).
+type Ref int32
+
+// NoRef is the Ref of the empty block name.
+const NoRef Ref = -1
+
+// unknownParent marks a Ref whose predecessor no label has named yet.
+// NoRef in the parent table marks a chain root.
+const unknownParent Ref = -2
+
+// ChainID identifies the blockchain a read returned. A non-negative value
+// is the chain's tip: the chain is the tip's root path in the history's
+// parent relation. EmptyChain is the empty chain; values below it index
+// the arena of chains kept verbatim.
+type ChainID int32
+
+// EmptyChain is the ChainID of the empty chain (and of every operation
+// that returned none).
+const EmptyChain ChainID = -1
+
+// Op is one operation of a history: its invocation and, once recorded,
+// its response, folded into one fixed-size record that holds no
+// pointers. Fields come from the invocation label, overridden by the
+// non-zero fields of the response label.
 type Op struct {
-	ID       OpID
-	Proc     ProcID
-	Label    Label // invocation label
-	Response *Label
-	InvTime  int64
-	RspTime  int64
-	InvSeq   int
-	RspSeq   int
+	InvTime, RspTime int64
+	// Token identifies the oracle token of getToken/consumeToken.
+	Token uint64
+	Proc  ProcID
+	// Origin is the process that generated the block of a
+	// send/receive/update.
+	Origin         ProcID
+	InvSeq, RspSeq int32
+	// Block and Parent are the block and predecessor arguments; NoRef
+	// when the labels named none.
+	Block, Parent Ref
+	// Chain is the blockchain a read returned.
+	Chain ChainID
+	Kind  Kind
+	// OK is the boolean result of an append.
+	OK bool
 	// Complete reports whether a response was recorded.
 	Complete bool
 }
 
 // History is an immutable concurrent history H.
 //
-// Because the history never changes after Snapshot, the derived views the
-// consistency checkers and metric collectors iterate (Reads, Appends,
-// OpsOfKind) are computed once and cached: every checker of a
-// classification pass walks the same slices instead of re-filtering and
-// re-sorting the event set per call. The cached slices are shared —
-// callers must not mutate or reorder them (clone first, as
+// Ops and Reads return the history's own slices without copying: callers
+// must not mutate or reorder them (sort an index permutation instead, as
 // readsByProcessOrder in internal/consistency does).
 type History struct {
-	events []Event
-	ops    []Op
-
-	mu          sync.Mutex
-	readsCache  []ReadOp
-	appendCache []AppendOp
-	okAppends   []AppendOp
-	kindCache   map[Kind][]Op
+	ops []Op
+	// reads lists the completed read operations in response order.
+	reads  []OpID
+	events int
+	// names is the intern table; parent and depth are indexed by Ref.
+	// parent holds a block's predecessor (NoRef: a chain root). depth
+	// holds the block's position in its chain, or -1 while no recorded
+	// read has fixed the block's root path.
+	names  []BlockRef
+	parent []Ref
+	depth  []int32
+	// arena holds the chains that do not follow the recorded parents,
+	// each as its length followed by its Refs.
+	arena []Ref
 }
-
-// Events returns the event set E in global (Seq) order.
-func (h *History) Events() []Event { return h.events }
 
 // Ops returns all operations in invocation order.
 func (h *History) Ops() []Op { return h.ops }
 
-// Len returns the number of events.
-func (h *History) Len() int { return len(h.events) }
+// Op returns operation id.
+func (h *History) Op(id OpID) *Op { return &h.ops[id] }
 
-// ReadOp is a completed read() operation together with its returned chain.
-type ReadOp struct {
-	Op    Op
-	Chain Chain
-}
+// Len returns the number of events: two per completed operation, one per
+// pending one.
+func (h *History) Len() int { return h.events }
 
 // Reads returns the completed read() operations in response order (the
 // order their responses occurred), which is the order the consistency
-// criteria quantify over. The slice is computed once and shared across
-// calls; callers must not mutate or reorder it.
-func (h *History) Reads() []ReadOp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.readsCache == nil {
-		out := []ReadOp{}
-		for _, op := range h.ops {
-			if op.Label.Kind == KindRead && op.Complete {
-				out = append(out, ReadOp{Op: op, Chain: op.Response.Chain})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Op.RspSeq < out[j].Op.RspSeq })
-		h.readsCache = out
-	}
-	return h.readsCache
-}
-
-// AppendOp is a completed append() operation.
-type AppendOp struct {
-	Op    Op
-	Block BlockRef
-	OK    bool
-}
+// criteria quantify over.
+func (h *History) Reads() []OpID { return h.reads }
 
 // Appends returns the completed append() operations in invocation order.
-// The slice is computed once and shared; callers must not mutate it.
-func (h *History) Appends() []AppendOp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.appendCache == nil {
-		out := []AppendOp{}
-		for _, op := range h.ops {
-			if op.Label.Kind == KindAppend && op.Complete {
-				out = append(out, AppendOp{Op: op, Block: op.Label.Block, OK: op.Response.OK})
-			}
-		}
-		h.appendCache = out
-	}
-	return h.appendCache
+func (h *History) Appends() []OpID {
+	return h.filter(func(op *Op) bool { return op.Kind == KindAppend && op.Complete })
 }
 
 // SuccessfulAppends returns the appends whose response is true. The
-// hierarchy results (Section 3.4) consider histories purged of unsuccessful
-// append responses; this accessor implements that purge. The slice is
-// computed once and shared; callers must not mutate it.
-func (h *History) SuccessfulAppends() []AppendOp {
-	appends := h.Appends()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.okAppends == nil {
-		out := []AppendOp{}
-		for _, a := range appends {
-			if a.OK {
-				out = append(out, a)
-			}
-		}
-		h.okAppends = out
-	}
-	return h.okAppends
+// hierarchy results (Section 3.4) consider histories purged of
+// unsuccessful append responses; this accessor implements that purge.
+func (h *History) SuccessfulAppends() []OpID {
+	return h.filter(func(op *Op) bool { return op.Kind == KindAppend && op.Complete && op.OK })
 }
 
-// OpsOfKind returns completed operations with the given kind, in invocation
-// order. The slice is computed once per kind and shared; callers must not
-// mutate it.
-func (h *History) OpsOfKind(k Kind) []Op {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out, ok := h.kindCache[k]
-	if !ok {
-		out = []Op{}
-		for _, op := range h.ops {
-			if op.Label.Kind == k {
-				out = append(out, op)
-			}
+// OpsOfKind returns the operations (complete or pending) with the given
+// kind, in invocation order.
+func (h *History) OpsOfKind(k Kind) []OpID {
+	return h.filter(func(op *Op) bool { return op.Kind == k })
+}
+
+func (h *History) filter(keep func(*Op) bool) []OpID {
+	var out []OpID
+	for i := range h.ops {
+		if keep(&h.ops[i]) {
+			out = append(out, OpID(i))
 		}
-		if h.kindCache == nil {
-			h.kindCache = map[Kind][]Op{}
-		}
-		h.kindCache[k] = out
 	}
 	return out
+}
+
+// Name returns the block name r stands for ("" for NoRef).
+func (h *History) Name(r Ref) BlockRef {
+	if r < 0 {
+		return ""
+	}
+	return h.names[r]
+}
+
+// Lookup returns the Ref of a block name, or NoRef when the history never
+// mentions it. It scans the name table, so callers look up once per pass.
+func (h *History) Lookup(name BlockRef) Ref {
+	for i, n := range h.names {
+		if n == name {
+			return Ref(i)
+		}
+	}
+	return NoRef
+}
+
+// NumRefs returns the size of the name table: every Ref of the history is
+// below it, so per-block state fits in a slice of this length.
+func (h *History) NumRefs() int { return len(h.names) }
+
+// Label reconstructs the label of operation id: its invocation arguments
+// merged with its response results, names rendered.
+func (h *History) Label(id OpID) Label {
+	op := &h.ops[id]
+	l := Label{Kind: op.Kind, Block: h.Name(op.Block), Parent: h.Name(op.Parent),
+		OK: op.OK, Token: op.Token, Origin: op.Origin}
+	if op.Chain != EmptyChain {
+		l.Chain = h.Chain(op.Chain)
+	}
+	return l
+}
+
+// Events derives the event set E in global (Seq) order. A response event
+// carries the operation's Label. An invocation event carries its
+// arguments only: the Label without the results, which are a read's
+// Chain, an append's Parent and OK, and a Token.
+func (h *History) Events() []Event {
+	out := make([]Event, h.events)
+	for i := range h.ops {
+		op := &h.ops[i]
+		l := h.Label(OpID(i))
+		if op.Complete {
+			out[op.RspSeq] = Event{Seq: int(op.RspSeq), Type: Response, Proc: op.Proc, Op: OpID(i), Label: l, Time: op.RspTime}
+		}
+		l.Chain, l.OK, l.Token = nil, false, 0
+		if l.Kind == KindAppend {
+			l.Parent = ""
+		}
+		out[op.InvSeq] = Event{Seq: int(op.InvSeq), Type: Invocation, Proc: op.Proc, Op: OpID(i), Label: l, Time: op.InvTime}
+	}
+	return out
+}
+
+// ChainLen returns the number of blocks of chain c.
+func (h *History) ChainLen(c ChainID) int {
+	switch {
+	case c >= 0:
+		return int(h.depth[c]) + 1
+	case c == EmptyChain:
+		return 0
+	default:
+		return int(h.arena[-2-c])
+	}
+}
+
+// AppendChain appends the Refs of chain c, genesis first, to buf.
+func (h *History) AppendChain(buf []Ref, c ChainID) []Ref {
+	n := h.ChainLen(c)
+	if c < EmptyChain {
+		off := int(-2-c) + 1
+		return append(buf, h.arena[off:off+n]...)
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, n)[:start+n]
+	x := Ref(c)
+	for i := start + n - 1; i >= start; i-- {
+		buf[i] = x
+		x = h.parent[x]
+	}
+	return buf
+}
+
+// Chain renders chain c as block names.
+func (h *History) Chain(c ChainID) Chain {
+	var buf [64]Ref
+	refs := h.AppendChain(buf[:0], c)
+	out := make(Chain, len(refs))
+	for i, r := range refs {
+		out[i] = h.names[r]
+	}
+	return out
+}
+
+// CommonPrefixLen returns the length of the maximal common prefix of
+// chains a and b. On tip chains it is an ancestor walk: lift the deeper
+// tip to the other's depth, then climb both until they meet.
+func (h *History) CommonPrefixLen(a, b ChainID) int {
+	if a < 0 || b < 0 {
+		ra, rb := h.AppendChain(nil, a), h.AppendChain(nil, b)
+		n := 0
+		for n < len(ra) && n < len(rb) && ra[n] == rb[n] {
+			n++
+		}
+		return n
+	}
+	x, y := Ref(a), Ref(b)
+	for h.depth[x] > h.depth[y] {
+		x = h.parent[x]
+	}
+	for h.depth[y] > h.depth[x] {
+		y = h.parent[y]
+	}
+	for x != y {
+		x, y = h.parent[x], h.parent[y]
+	}
+	if x < 0 {
+		return 0
+	}
+	return int(h.depth[x]) + 1
+}
+
+// IsPrefix reports whether chain p is a prefix of chain c (p ⊑ c).
+func (h *History) IsPrefix(p, c ChainID) bool {
+	n := h.ChainLen(p)
+	return n <= h.ChainLen(c) && h.CommonPrefixLen(p, c) == n
 }
 
 // ProcessOrdered reports a ↦→ b: both events belong to the same process and
@@ -359,15 +484,14 @@ func RespondedBefore(a, b Op) bool {
 // Recorder accumulates events concurrently. The zero value is not usable;
 // create one with NewRecorder.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	ops    []Op
-	clock  Clock
-	// respSlab is the current response-label chunk. Respond hands out
-	// pointers into it; append never reallocates within a chunk (a fresh
-	// chunk is started when the current one fills), so the pointers stay
-	// valid and one allocation serves many responses.
-	respSlab []Label
+	mu    sync.Mutex
+	clock Clock
+	// h is the history under construction; index maps names to Refs.
+	h     History
+	index map[BlockRef]Ref
+	// forked records that two labels named different parents for one
+	// block, after which RespondTip no longer vouches for any tip.
+	forked bool
 }
 
 // Clock supplies timestamps for the operation order ≺. Virtual-time
@@ -403,26 +527,83 @@ func NewRecorderWithClock(c Clock) *Recorder {
 	return &Recorder{clock: c}
 }
 
-// Reserve grows the recorder's event and operation buffers to at least the
-// given capacities. Simulators that can bound the history size from their
-// parameters (TargetBlocks × replicas × ops-per-block) call this once so the
-// append path never reallocates mid-run.
-func (r *Recorder) Reserve(events, ops int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cap(r.events) < events {
-		grown := make([]Event, len(r.events), events)
-		copy(grown, r.events)
-		r.events = grown
+// intern returns the Ref of a block name, adding it to the table.
+func (r *Recorder) intern(name BlockRef) Ref {
+	if name == "" {
+		return NoRef
 	}
-	if cap(r.ops) < ops {
-		grown := make([]Op, len(r.ops), ops)
-		copy(grown, r.ops)
-		r.ops = grown
+	if x, ok := r.index[name]; ok {
+		return x
 	}
-	if cap(r.respSlab)-len(r.respSlab) < ops {
-		r.respSlab = make([]Label, 0, ops)
+	if r.index == nil {
+		r.index = map[BlockRef]Ref{}
 	}
+	x := Ref(len(r.h.names))
+	r.index[name] = x
+	r.h.names = append(r.h.names, name)
+	r.h.parent = append(r.h.parent, unknownParent)
+	r.h.depth = append(r.h.depth, -1)
+	return x
+}
+
+// apply folds the non-zero fields of l into op and learns the
+// (Parent, Block) edge it names. The first parent named for a block is
+// the one kept.
+func (r *Recorder) apply(op *Op, l *Label) {
+	if l.Block != "" {
+		op.Block = r.intern(l.Block)
+	}
+	if l.Parent != "" {
+		op.Parent = r.intern(l.Parent)
+	}
+	if l.Origin != 0 {
+		op.Origin = l.Origin
+	}
+	if l.Token != 0 {
+		op.Token = l.Token
+	}
+	if l.OK {
+		op.OK = true
+	}
+	if l.Chain != nil {
+		op.Chain = r.internChain(l.Chain)
+	}
+	if op.Block != NoRef && op.Parent != NoRef {
+		switch r.h.parent[op.Block] {
+		case op.Parent:
+		case unknownParent:
+			r.h.parent[op.Block] = op.Parent
+		default:
+			r.forked = true
+		}
+	}
+}
+
+// internChain returns the ChainID of c: its tip when every block follows
+// its recorded parent (learning the parents no label named yet), the
+// chain copied into the arena otherwise.
+func (r *Recorder) internChain(c Chain) ChainID {
+	if len(c) == 0 {
+		return EmptyChain
+	}
+	prev := NoRef
+	for i, name := range c {
+		x := r.intern(name)
+		if r.h.parent[x] == unknownParent {
+			r.h.parent[x] = prev
+		}
+		if r.h.parent[x] != prev {
+			off := len(r.h.arena)
+			r.h.arena = append(r.h.arena, Ref(len(c)))
+			for _, name := range c {
+				r.h.arena = append(r.h.arena, r.intern(name))
+			}
+			return ChainID(-2 - off)
+		}
+		r.h.depth[x] = int32(i)
+		prev = x
+	}
+	return ChainID(prev)
 }
 
 // Invoke records the invocation event of a new operation and returns its
@@ -430,11 +611,11 @@ func (r *Recorder) Reserve(events, ops int) {
 func (r *Recorder) Invoke(p ProcID, l Label) OpID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id := OpID(len(r.ops))
-	seq := len(r.events)
-	now := r.clock.Now()
-	r.events = append(r.events, Event{Seq: seq, Type: Invocation, Proc: p, Op: id, Label: l, Time: now})
-	r.ops = append(r.ops, Op{ID: id, Proc: p, Label: l, InvTime: now, InvSeq: seq})
+	id := OpID(len(r.h.ops))
+	r.h.ops = append(r.h.ops, Op{Kind: l.Kind, Proc: p, InvTime: r.clock.Now(), InvSeq: int32(r.h.events),
+		Block: NoRef, Parent: NoRef, Chain: EmptyChain})
+	r.h.events++
+	r.apply(&r.h.ops[id], &l)
 	return id
 }
 
@@ -443,89 +624,108 @@ func (r *Recorder) Invoke(p ProcID, l Label) OpID {
 func (r *Recorder) Respond(id OpID, result Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seq := len(r.events)
-	now := r.clock.Now()
-	op := &r.ops[id]
-	r.events = append(r.events, Event{Seq: seq, Type: Response, Proc: op.Proc, Op: id, Label: result, Time: now})
-	if len(r.respSlab) == cap(r.respSlab) {
-		r.respSlab = make([]Label, 0, 256)
-	}
-	r.respSlab = append(r.respSlab, result)
-	op.Response = &r.respSlab[len(r.respSlab)-1]
-	op.RspTime = now
-	op.RspSeq = seq
+	r.apply(r.complete(id), &result)
+}
+
+// complete stamps the response event of operation id. Caller holds the
+// lock.
+func (r *Recorder) complete(id OpID) *Op {
+	op := &r.h.ops[id]
+	op.RspSeq = int32(r.h.events)
+	op.RspTime = r.clock.Now()
 	op.Complete = true
+	r.h.events++
+	if op.Kind == KindRead {
+		r.h.reads = append(r.h.reads, id)
+	}
+	return op
+}
+
+// RespondTip records the response of read operation id returning the
+// root path of block tip, which lies height blocks above the root. It is
+// Respond without materializing the chain, for replicas whose every block
+// entered through a recorded label. It records nothing and returns false
+// when the recorded parents cannot vouch for that chain — two labels
+// named different parents for one block, or tip's recorded path is not
+// height blocks long — and the caller must Respond with the chain.
+func (r *Recorder) RespondTip(id OpID, tip BlockRef, height int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.forked {
+		return false
+	}
+	t := r.intern(tip)
+	// Climb to the first block whose depth a recorded read fixed, or
+	// to a parentless root.
+	x, d := t, int32(height)
+	for r.h.depth[x] < 0 && r.h.parent[x] >= 0 {
+		if d == 0 {
+			return false
+		}
+		x, d = r.h.parent[x], d-1
+	}
+	switch {
+	case r.h.depth[x] >= 0:
+		if r.h.depth[x] != d {
+			return false
+		}
+	case d != 0:
+		return false
+	default:
+		r.h.parent[x], r.h.depth[x] = NoRef, 0
+	}
+	for y, dy := t, int32(height); y != x; y, dy = r.h.parent[y], dy-1 {
+		r.h.depth[y] = dy
+	}
+	r.complete(id).Chain = ChainID(t)
+	return true
 }
 
 // Record records an instantaneous (invocation+response collapsed) event,
 // used for send/receive/update events which have no call/return structure.
-// It appends both events under one lock acquisition — equivalent to
-// Invoke+Respond (including drawing two clock values) but cheaper on the
-// simulator's per-delivery path, where Record is the dominant call.
+// It is equivalent to Invoke+Respond with the same label (including
+// drawing two clock values) under one lock acquisition.
 func (r *Recorder) Record(p ProcID, l Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id := OpID(len(r.ops))
-	seq := len(r.events)
+	id := OpID(len(r.h.ops))
+	seq := int32(r.h.events)
 	tInv := r.clock.Now()
-	tRsp := r.clock.Now()
-	r.events = append(r.events,
-		Event{Seq: seq, Type: Invocation, Proc: p, Op: id, Label: l, Time: tInv},
-		Event{Seq: seq + 1, Type: Response, Proc: p, Op: id, Label: l, Time: tRsp})
-	if len(r.respSlab) == cap(r.respSlab) {
-		r.respSlab = make([]Label, 0, 256)
+	r.h.ops = append(r.h.ops, Op{Kind: l.Kind, Proc: p, InvTime: tInv, RspTime: r.clock.Now(),
+		InvSeq: seq, RspSeq: seq + 1, Complete: true,
+		Block: NoRef, Parent: NoRef, Chain: EmptyChain})
+	r.h.events += 2
+	r.apply(&r.h.ops[id], &l)
+	if l.Kind == KindRead {
+		r.h.reads = append(r.h.reads, id)
 	}
-	r.respSlab = append(r.respSlab, l)
-	r.ops = append(r.ops, Op{
-		ID: id, Proc: p, Label: l,
-		Response: &r.respSlab[len(r.respSlab)-1],
-		InvTime:  tInv, RspTime: tRsp,
-		InvSeq: seq, RspSeq: seq + 1,
-		Complete: true,
-	})
 }
 
-// Snapshot returns an immutable copy of the history recorded so far.
+// Snapshot returns an immutable copy of the history recorded so far. The
+// copy is one allocation per table, whatever the history's length.
 func (r *Recorder) Snapshot() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{
-		events: make([]Event, len(r.events)),
-		ops:    make([]Op, len(r.ops)),
+	return &History{
+		ops:    slices.Clone(r.h.ops),
+		reads:  slices.Clone(r.h.reads),
+		events: r.h.events,
+		names:  slices.Clone(r.h.names),
+		parent: slices.Clone(r.h.parent),
+		depth:  slices.Clone(r.h.depth),
+		arena:  slices.Clone(r.h.arena),
 	}
-	copy(h.events, r.events)
-	copy(h.ops, r.ops)
-	// One response slab for the whole snapshot instead of one heap object
-	// per completed operation: the copies stay independent of the recorder
-	// (the slab is owned by the snapshot) without per-op allocations.
-	n := 0
-	for i := range r.ops {
-		if r.ops[i].Response != nil {
-			n++
-		}
-	}
-	slab := make([]Label, 0, n)
-	for i := range h.ops {
-		if r.ops[i].Response != nil {
-			slab = append(slab, *r.ops[i].Response)
-			h.ops[i].Response = &slab[len(slab)-1]
-		}
-	}
-	return h
 }
 
 // Finalize returns the recorded history by transferring ownership of the
-// recorder's buffers — no copy. The recorder is reset to empty and must
-// not be reused, or the returned history would observe the new events.
-// Single-use harnesses (one recorder per simulation run) call this instead
-// of Snapshot to avoid duplicating the full event set at the end of every
+// recorder's tables — no copy — and resets the recorder to empty.
+// Single-use harnesses (one recorder per simulation run) call this
+// instead of Snapshot to avoid duplicating the log at the end of every
 // run.
 func (r *Recorder) Finalize() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{events: r.events, ops: r.ops}
-	r.events = nil
-	r.ops = nil
-	r.respSlab = nil
-	return h
+	h := r.h
+	r.h, r.index, r.forked = History{}, nil, false
+	return &h
 }

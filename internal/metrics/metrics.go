@@ -151,29 +151,32 @@ func PartitionHealLag(r Run) (float64, bool) {
 	if r.PartitionHeal <= 0 || r.History == nil || r.Ticks <= r.PartitionHeal {
 		return 0, false
 	}
-	latest := map[history.ProcID]history.Chain{}
+	h := r.History
+	ops := h.Ops()
+	latest := map[history.ProcID]history.ChainID{}
 	sawAll := func() bool {
 		if len(latest) < 2 {
 			return false
 		}
-		chains := make([]history.Chain, 0, len(latest))
+		chains := make([]history.ChainID, 0, len(latest))
 		for _, c := range latest {
 			chains = append(chains, c)
 		}
 		for i := range chains {
 			for j := i + 1; j < len(chains); j++ {
-				cp := chains[i].CommonPrefix(chains[j])
-				if len(cp) != len(chains[i]) && len(cp) != len(chains[j]) {
+				cp := h.CommonPrefixLen(chains[i], chains[j])
+				if cp != h.ChainLen(chains[i]) && cp != h.ChainLen(chains[j]) {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	for _, rd := range r.History.Reads() {
-		latest[rd.Op.Proc] = rd.Chain
-		if rd.Op.RspTime >= r.PartitionHeal && sawAll() {
-			lag := rd.Op.RspTime - r.PartitionHeal
+	for _, id := range h.Reads() {
+		rd := &ops[id]
+		latest[rd.Proc] = rd.Chain
+		if rd.RspTime >= r.PartitionHeal && sawAll() {
+			lag := rd.RspTime - r.PartitionHeal
 			if lag < 0 {
 				lag = 0
 			}
@@ -187,17 +190,18 @@ func PartitionHealLag(r Run) (float64, bool) {
 // observed rollback: the largest number of blocks a process saw leave its
 // selected chain between two consecutive reads.
 func MaxReorg(h *history.History) int {
-	last := map[history.ProcID]history.Chain{}
+	ops := h.Ops()
+	last := map[history.ProcID]history.ChainID{}
 	deepest := 0
-	for _, r := range h.Reads() {
-		prev, ok := last[r.Op.Proc]
+	for _, id := range h.Reads() {
+		r := &ops[id]
+		prev, ok := last[r.Proc]
 		if ok {
-			cp := prev.CommonPrefix(r.Chain)
-			if d := len(prev) - len(cp); d > deepest {
+			if d := h.ChainLen(prev) - h.CommonPrefixLen(prev, r.Chain); d > deepest {
 				deepest = d
 			}
 		}
-		last[r.Op.Proc] = r.Chain
+		last[r.Proc] = r.Chain
 	}
 	return deepest
 }

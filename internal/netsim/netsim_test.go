@@ -204,7 +204,7 @@ func TestRecorderUsesVirtualClock(t *testing.T) {
 	s.Run(100)
 	h := s.Recorder().Snapshot()
 	ops := h.OpsOfKind(history.KindSend)
-	if len(ops) != 1 || ops[0].InvTime != 77 {
+	if len(ops) != 1 || h.Op(ops[0]).InvTime != 77 {
 		t.Fatalf("ops = %+v", ops)
 	}
 }

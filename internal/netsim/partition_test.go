@@ -149,8 +149,8 @@ func TestResyncIdempotent(t *testing.T) {
 	// The update event for x at b must be recorded exactly once.
 	h := s.Recorder().Snapshot()
 	updates := 0
-	for _, op := range h.OpsOfKind(history.KindUpdate) {
-		if op.Proc == 1 && op.Label.Block == "x" {
+	for _, id := range h.OpsOfKind(history.KindUpdate) {
+		if op := h.Op(id); op.Proc == 1 && h.Name(op.Block) == "x" {
 			updates++
 		}
 	}

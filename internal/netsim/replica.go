@@ -155,15 +155,17 @@ func (r *Replica) Read() blocktree.Chain {
 	return c
 }
 
-// ReadIDs performs read() recording only the chain's block ids — the same
-// response label Read records, without materializing the []Block chain.
-// The simulation drivers call it on their periodic read timers, where the
-// returned chain is only ever recorded, never inspected.
-func (r *Replica) ReadIDs() history.Chain {
+// ReadIDs performs read() recording the same response Read records
+// without materializing any chain: every block of the local tree entered
+// through a recorded update label, so the recorder rebuilds the chain
+// from the selected tip (History.Chain). The simulation drivers call it
+// on their periodic read timers, where the chain is only ever recorded.
+func (r *Replica) ReadIDs() {
 	op := r.rec.Invoke(r.id, history.Label{Kind: history.KindRead})
-	ids := r.bt.ReadIDs()
-	r.rec.Respond(op, history.Label{Kind: history.KindRead, Chain: ids})
-	return ids
+	tip := r.bt.Tip()
+	if !r.rec.RespondTip(op, tip.ID, tip.Height) {
+		r.rec.Respond(op, history.Label{Kind: history.KindRead, Chain: r.bt.Read().IDs()})
+	}
 }
 
 // ApplyDecided applies a block this replica learned through an agreement
