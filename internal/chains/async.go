@@ -4,7 +4,7 @@ import (
 	"blockadt/internal/blocktree"
 )
 
-// This file keeps the support set of the generic PoW driver — the
+// This file keeps the support set of the non-default networks — the
 // executable counterpart of the open issues the paper lists at the end
 // of Section 4.2 ("TBC"): the solvability of Eventual Prefix under
 // asynchrony and under block intervals shorter than the message-delay
@@ -38,9 +38,10 @@ var powSelectors = map[string]blocktree.Selector{
 	"Ethereum": blocktree.GHOST{},
 }
 
-// SupportsPoWLinks reports whether the named system has a generic
-// netsim-backed PoW runner — the Supports predicate of every
-// non-synchronous link model and non-complete topology.
+// SupportsPoWLinks reports whether the named system is a PoW system
+// whose run composes with any link model and topology — the Supports
+// predicate of every non-synchronous link model and non-complete
+// topology.
 func SupportsPoWLinks(system string) bool {
 	_, ok := powSelectors[system]
 	return ok

@@ -3,7 +3,6 @@ package chains
 import (
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
-	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
 	"blockadt/internal/prng"
@@ -12,11 +11,12 @@ import (
 // The consensus-based systems of Table 1 (ByzCoin, Algorand, PeerCensus,
 // Red Belly, Hyperledger Fabric) all refine BT-ADT_SC with the frugal
 // oracle Θ_F,k=1: their agreement machinery commits a single block per
-// predecessor. This file provides a round-based engine that realizes that
-// commit as an atomic consumeToken on a k=1 oracle — the paper's own
-// abstraction of a Byzantine-tolerant commit (Sections 5.3–5.7) — followed
-// by a reliable broadcast of the decided block. What varies per system is
-// the proposer-selection discipline:
+// predecessor. This file provides their behaviour, bftNode, a round
+// proposer that realizes that commit as an atomic consumeToken on a k=1
+// oracle — the paper's own abstraction of a Byzantine-tolerant commit
+// (Sections 5.3–5.7) — followed by a reliable broadcast of the decided
+// block. bftRun hands it to the one driver (drive.go). What varies per
+// system is the proposer-selection discipline, a roundPlan value:
 //
 //   - ByzCoin / PeerCensus: a proof-of-work race (probabilistic tape
 //     grants); concurrent winners are ordered by a digest-derived jitter,
@@ -41,15 +41,9 @@ type roundPlan struct {
 }
 
 type bftNode struct {
-	rep    *netsim.Replica
-	orc    *oracle.Oracle
-	merit  int
-	params Params
-	plan   roundPlan
-	round  int
-	count  int
-	names  nameMemo
-	done   *bool
+	peer
+	plan  roundPlan
+	round int
 }
 
 const (
@@ -57,7 +51,10 @@ const (
 	proposeTimer = "propose"
 )
 
-func (n *bftNode) roundLen() int64 { return 3 * n.params.Delta }
+func (n *bftNode) start(s *netsim.Sim) {
+	s.TimerAt(n.rep.ID(), 1, roundTimer)
+	n.startReads(s)
+}
 
 // OnTimer implements netsim.Handler.
 func (n *bftNode) OnTimer(s *netsim.Sim, tag string) {
@@ -69,15 +66,12 @@ func (n *bftNode) OnTimer(s *netsim.Sim, tag string) {
 			s.TimerAt(n.rep.ID(), s.Now()+1+prio, proposeTimer)
 		}
 		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.roundLen(), roundTimer)
+			s.TimerAt(n.rep.ID(), s.Now()+3*n.params.Delta, roundTimer)
 		}
 	case proposeTimer:
 		n.propose(s)
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.read(s)
 	}
 }
 
@@ -92,80 +86,33 @@ func (n *bftNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 // failed append, which the purged histories of Section 3.4 discard.
 func (n *bftNode) propose(s *netsim.Sim) {
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.count)
-	tok, granted := n.orc.GetToken(n.merit, parent.ID, candidate)
-	if !granted {
-		return
+	if b, ok := n.tryAppend(s, parent, n.names.get(parent.Height+1, n.rep.ID(), n.counter)); ok {
+		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}
-	n.count++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	ok := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: ok})
-	if !ok {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: n.merit}
-	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
-// runBFT drives a round-based k=1 network.
-func runBFT(name, refinement string, sel blocktree.Selector, plan roundPlan, p Params) Result {
-	p = p.withDefaults()
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
-	orc := oracle.NewFrugal(1, p.Seed, equalMerits(p.N, plan.tokenProb)...)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplicaCap(id, sel, sim.Recorder(), p.TargetBlocks+p.TargetBlocks/2)
-		reps[id] = rep
-		node := &bftNode{rep: rep, orc: orc, merit: i, params: p, plan: plan, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1, roundTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
-	}
-
-	var t int64
-	step := 3 * p.Delta
-	for t = 0; t < p.MaxTicks; t += step {
-		sim.Run(t + step)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	sim.Run(t + step + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       name,
-		Refinement:   refinement,
-		OracleName:   orc.Name(),
-		SelectorName: sel.Name(),
-		K:            1,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
+// bftRun is the run of a round-based k=1 network under the given
+// proposer plan, checking progress once per 3δ round and draining 16δ
+// after the target. p must already carry its defaults.
+func bftRun(sys System, plan roundPlan, p Params) run {
+	return run{
+		p: p, name: sys.Name(), refinement: sys.Refinement(),
+		orc: oracle.NewFrugal(1, p.Seed, equalMerits(p.N, plan.tokenProb)...),
+		sel: blocktree.SingleChain{}, k: 1, step: 3 * p.Delta, tail: 16 * p.Delta,
+		node: func(_ *netsim.Sim, pr peer) process { return &bftNode{peer: pr, plan: plan} },
 	}
 }
 
 // powRacePlan is the ByzCoin/PeerCensus proposer discipline: everyone
-// races; intra-round order follows a digest-derived jitter.
-func powRacePlan(seed uint64, tokenProb float64) roundPlan {
+// races; intra-round order follows a digest-derived jitter. The PoW race
+// needs a realistic per-round hit rate, so the tape probability is
+// TokenProb scaled so that a round finds a winner more often than not,
+// capped at 0.9.
+func powRacePlan(p Params) roundPlan {
 	return roundPlan{
-		tokenProb: tokenProb,
+		tokenProb: min(p.TokenProb*8, 0.9),
 		participate: func(r, i int) (bool, int64) {
-			return true, int64(prng.Mix(seed, 0xD16E57, uint64(r), uint64(i)) % 8)
+			return true, int64(prng.Mix(p.Seed, 0xD16E57, uint64(r), uint64(i)) % 8)
 		},
 	}
 }
@@ -187,13 +134,7 @@ func (ByzCoin) Expected() consistency.Level { return consistency.LevelSC }
 // Run implements System.
 func (ByzCoin) Run(p Params) Result {
 	p = p.withDefaults()
-	// The PoW race needs a realistic per-round hit rate; scale the tape
-	// probability so that a round finds a winner more often than not.
-	prob := p.TokenProb * 8
-	if prob > 0.9 {
-		prob = 0.9
-	}
-	return runBFT("ByzCoin", ByzCoin{}.Refinement(), blocktree.SingleChain{}, powRacePlan(p.Seed, prob), p)
+	return drive(bftRun(ByzCoin{}, powRacePlan(p), p))
 }
 
 // PeerCensus is Section 5.5: proof-of-work identity plus a dynamic
@@ -214,11 +155,7 @@ func (PeerCensus) Expected() consistency.Level { return consistency.LevelSC }
 // Run implements System.
 func (PeerCensus) Run(p Params) Result {
 	p = p.withDefaults()
-	prob := p.TokenProb * 8
-	if prob > 0.9 {
-		prob = 0.9
-	}
-	return runBFT("PeerCensus", PeerCensus{}.Refinement(), blocktree.SingleChain{}, powRacePlan(p.Seed, prob), p)
+	return drive(bftRun(PeerCensus{}, powRacePlan(p), p))
 }
 
 // Algorand is Section 5.4: cryptographic sortition selects a committee
@@ -255,7 +192,7 @@ func (Algorand) Run(p Params) Result {
 			return true, prio
 		},
 	}
-	return runBFT("Algorand", Algorand{}.Refinement(), blocktree.SingleChain{}, plan, p)
+	return drive(bftRun(Algorand{}, plan, p))
 }
 
 // RedBelly is Section 5.6: a consortium blockchain where only the M
@@ -277,10 +214,7 @@ func (RedBelly) Expected() consistency.Level { return consistency.LevelSC }
 // Run implements System.
 func (RedBelly) Run(p Params) Result {
 	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
-	}
+	writers := p.writers()
 	plan := roundPlan{
 		tokenProb: 1,
 		participate: func(r, i int) (bool, int64) {
@@ -290,7 +224,7 @@ func (RedBelly) Run(p Params) Result {
 			return true, int64(prng.Mix(p.Seed, 0x2EDB, uint64(r), uint64(i)) % 8)
 		},
 	}
-	return runBFT("RedBelly", RedBelly{}.Refinement(), blocktree.SingleChain{}, plan, p)
+	return drive(bftRun(RedBelly{}, plan, p))
 }
 
 // Hyperledger is Section 5.7 (Hyperledger Fabric): a permissioned system
@@ -311,15 +245,12 @@ func (Hyperledger) Expected() consistency.Level { return consistency.LevelSC }
 // Run implements System.
 func (Hyperledger) Run(p Params) Result {
 	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
-	}
+	writers := p.writers()
 	plan := roundPlan{
 		tokenProb: 1,
 		participate: func(r, i int) (bool, int64) {
 			return i == r%writers, 0
 		},
 	}
-	return runBFT("Hyperledger", Hyperledger{}.Refinement(), blocktree.SingleChain{}, plan, p)
+	return drive(bftRun(Hyperledger{}, plan, p))
 }

@@ -87,6 +87,15 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// writers returns the consortium size M: Params.Writers, or ⌈N/2⌉ when
+// it is unset or exceeds N.
+func (p Params) writers() int {
+	if p.Writers <= 0 || p.Writers > p.N {
+		return (p.N + 1) / 2
+	}
+	return p.Writers
+}
+
 // Result is the outcome of one simulated run.
 type Result struct {
 	// System names the simulated protocol.
@@ -262,7 +271,7 @@ func (m *nameMemo) get(height int, proc history.ProcID, n int) blocktree.BlockID
 // maximal committed chain length and the maximal fork census. Both are
 // O(1) reads of counters the trees maintain on Insert — the progress check
 // runs every few ticks, so it must not materialize chains.
-func bestReplica(reps map[history.ProcID]*netsim.Replica) (blocks, forks int) {
+func bestReplica(reps []*netsim.Replica) (blocks, forks int) {
 	for _, r := range reps {
 		t := r.Tree()
 		if n := t.Height(); n > blocks {

@@ -3,9 +3,7 @@ package chains
 import (
 	"testing"
 
-	"blockadt/internal/blocktree"
 	"blockadt/internal/history"
-	"blockadt/internal/netsim"
 )
 
 // TestDrainOutlastsJitterTails pins the drain-window bugfix: the harness
@@ -19,14 +17,12 @@ import (
 // at the end, so the N final reads must be identical.
 func TestDrainOutlastsJitterTails(t *testing.T) {
 	const n = 6
-	links := netsim.Jitter{
-		Inner:      netsim.Synchronous{Delta: 8},
-		TailProb:   0.3,
-		TailFactor: 4096,
-	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		p := Params{N: n, TargetBlocks: 12, Delta: 8, Seed: seed}
-		res := runPoWTopo("Bitcoin", Bitcoin{}.Refinement(), blocktree.HeaviestChain{}, links, nil, p)
+		res := execScenario(t, Scenario{
+			System: Bitcoin{}, Links: JitterLinks,
+			Params: ScenarioParams{Params: p, TailProb: 0.3, TailFactor: 4096},
+		})
 		if res.Blocks < p.TargetBlocks {
 			t.Fatalf("seed %d: run ended with %d blocks, want ≥ %d", seed, res.Blocks, p.TargetBlocks)
 		}

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"sort"
 
+	"blockadt/internal/blocktree"
 	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 )
 
-// This file is the unified scenario executor: one engine, four
+// This file is the unified scenario executor: one driver, four
 // orthogonal strategy axes. A Scenario composes a System (mining and
 // selection behavior), a LinkPlan (the channel model of Section 4.2),
 // an AdversaryPlan (the fault model) and a TopologyPlan (the
-// dissemination graph); Execute runs the composition. The nine bespoke
-// Run* entry points this replaces paired those axes by hand — every new
-// link or adversary needed another runner. Now a new axis value is a
-// plan value, and the façade registries (pkg/blockadt) compose plans by
-// name with no engine changes.
+// dissemination graph); Execute turns the composition into one run
+// value for the one simulation driver, drive (drive.go). A new axis
+// value is a plan value, and the façade registries (pkg/blockadt)
+// compose plans by name with no driver changes.
 
 // ScenarioParams is the unified parameter set of the executor: the core
 // run shape (Params) plus every knob the link, adversary and topology
@@ -61,7 +61,7 @@ type ScenarioParams struct {
 // LinkPlan is the channel-model axis: how to build the netsim link
 // model from the (defaulted) params, plus the labels the regime stamps
 // on results. The zero value is the synchronous default — the system's
-// own simulator runs untouched.
+// own Run executes untouched.
 type LinkPlan struct {
 	// Regime tags the result's System field ("Bitcoin/async") and names
 	// the regime in unknown-system errors.
@@ -77,19 +77,25 @@ type LinkPlan struct {
 }
 
 // AdversaryPlan is the fault-model axis. The zero value runs every
-// process honestly. A non-zero plan owns the whole run: adversarial
-// strategies replace nodes, reshape merit tapes and post-process the
-// final chains, so they drive the simulation themselves and attach
-// their census to Result.Adversary. Adversary plans run over the
-// synchronous complete-graph network (their analyses assume it);
-// Execute rejects compositions with non-default links or topologies.
+// process honestly. A non-zero plan replaces process 0's handler with a
+// withholding miner, gives it merit share Params.Alpha, and adds a
+// census of the run to Result.Adversary; drive runs it like any other
+// system. Adversary plans run over the synchronous complete-graph
+// network (their analyses assume it); Execute rejects compositions with
+// non-default links or topologies.
 type AdversaryPlan struct {
 	// Name labels the plan in composition errors.
 	Name string
-	// Run drives the adversarial run. The scenario's Params (including
-	// Alpha) arrive exactly as composed; the runner applies its own
-	// defaulting, like the honest simulators do.
-	Run func(sc Scenario) Result
+	// label formats the result's System name from alpha; refinement is
+	// the result's refinement.
+	label, refinement string
+	// honest builds the miners at processes 1..N-1; adversary builds
+	// process 0's handler and returns the withholding miner inside it.
+	honest    func(pr peer) process
+	adversary func(pr peer) (process, *selfishMiner)
+	// census reads the adversarial census off an honest replica's
+	// final main chain.
+	census func(alpha float64, h *history.History, final blocktree.Chain) *AdversaryStats
 }
 
 // TopologyPlan is the dissemination-graph axis. The zero value is the
@@ -147,16 +153,16 @@ type Scenario struct {
 }
 
 // UnknownSystemError reports a composition naming a system that has no
-// simulator for the requested axis: the non-default link and topology
-// plans run on the generic PoW driver, which only the permissionless
-// systems implement (SupportsPoWLinks — committee systems assume
-// synchronous rounds and complete dissemination).
+// run for the requested axis: the non-default link and topology plans
+// compose only with the permissionless PoW systems (SupportsPoWLinks —
+// committee systems assume synchronous rounds and complete
+// dissemination).
 type UnknownSystemError struct {
 	// System is the name that missed.
 	System string
 	// Regime is the link regime (or "sync") that was requested.
 	Regime string
-	// Known lists the systems the generic driver does implement.
+	// Known lists the systems the non-default axes do support.
 	Known []string
 }
 
@@ -165,9 +171,8 @@ func (e *UnknownSystemError) Error() string {
 	return "chains: no " + e.Regime + " runner for system " + e.System
 }
 
-// PoWSystems returns the sorted names of the systems the generic PoW
-// driver implements — the support set of every non-default link and
-// topology plan.
+// PoWSystems returns the sorted names of the PoW systems — the support
+// set of every non-default link and topology plan.
 func PoWSystems() []string {
 	out := make([]string, 0, len(powSelectors))
 	for name := range powSelectors {
@@ -178,18 +183,19 @@ func PoWSystems() []string {
 }
 
 // Execute runs a composed scenario. Default-axes scenarios dispatch to
-// the system's own simulator (byte-identical to calling System.Run);
-// non-default links or topologies run the generic PoW driver; a
-// non-default adversary owns the run entirely. The one error surface is
-// composition: a system outside the generic driver's support set under
-// a non-default link/topology (*UnknownSystemError), an adversary
-// composed with a non-default network, or a scenario with no system.
+// the system's own Run (the Table 1 path); non-default links or
+// topologies run the PoW system's run with the link model and topology
+// added; a non-default adversary runs its withholding run. All three
+// reach the same driver. The one error surface is composition: a
+// system outside the PoW support set under a non-default link/topology
+// (*UnknownSystemError), an adversary composed with a non-default
+// network, or a scenario with no system.
 func Execute(sc Scenario) (Result, error) {
-	if sc.Adversary.Run != nil {
+	if sc.Adversary.adversary != nil {
 		if sc.Links.Build != nil || sc.Links.Regime != "" || sc.Topology.Graph != nil || sc.Topology.WrapLinks != nil {
 			return Result{}, fmt.Errorf("chains: adversary %q composes only with synchronous complete-graph networks", sc.Adversary.Name)
 		}
-		return sc.Adversary.Run(sc), nil
+		return drive(withholding(sc.Adversary, sc.Params)), nil
 	}
 	if sc.System == nil {
 		return Result{}, fmt.Errorf("chains: scenario names no system")
@@ -197,8 +203,8 @@ func Execute(sc Scenario) (Result, error) {
 	defaultLinks := sc.Links.Build == nil && sc.Links.Regime == ""
 	defaultTopo := sc.Topology.Graph == nil && sc.Topology.WrapLinks == nil
 	if defaultLinks && defaultTopo {
-		// The Table 1 path: the system's own simulator, raw params (it
-		// applies its own defaults).
+		// The Table 1 path: the system's own Run, raw params (it applies
+		// its own defaults).
 		return sc.System.Run(sc.Params.Params), nil
 	}
 	name := sc.System.Name()
@@ -212,38 +218,36 @@ func Execute(sc Scenario) (Result, error) {
 	}
 	p := sc.Params
 	p.Params = p.Params.withDefaults()
-	var links netsim.LinkModel
+	r := powRun(sc.System, sel, p.Params)
 	if sc.Links.Build != nil {
-		links = sc.Links.Build(p)
+		r.links = sc.Links.Build(p)
 	}
-	if links == nil {
-		links = netsim.Synchronous{Delta: p.Delta}
+	if r.links == nil {
+		r.links = netsim.Synchronous{Delta: p.Delta}
 	}
 	if sc.Topology.WrapLinks != nil {
-		links = sc.Topology.WrapLinks(links, p)
+		r.links = sc.Topology.WrapLinks(r.links, p)
 	}
-	resName := name
-	refinement := sc.System.Refinement()
+	r.topo = sc.Topology.Graph
 	if sc.Links.Regime != "" {
-		resName += "/" + sc.Links.Regime
+		r.name += "/" + sc.Links.Regime
 	}
 	if sc.Links.Refinement != "" {
-		refinement = sc.Links.Refinement
+		r.refinement = sc.Links.Refinement
 	}
 	if sc.Topology.Name != "" {
-		resName += "@" + sc.Topology.Name
+		r.name += "@" + sc.Topology.Name
 	}
-	res := runPoWTopo(resName, refinement, sel, links, sc.Topology.Graph, p.Params)
+	res := drive(r)
 	if sc.Links.Heal != nil {
 		res.PartitionHeal = sc.Links.Heal(p)
 	}
 	return res, nil
 }
 
-// The six link plans of the Section 4.2 channel models. Each Build
-// reproduces the defaulting and netsim construction of the Run* runner
-// it replaced, so results — and the rng streams behind them — are
-// byte-identical.
+// The six link plans of the Section 4.2 channel models. SWEEP_baseline.json
+// pins each Build's defaulting and netsim construction: changing either
+// changes results and the rng streams behind them.
 var (
 	// AsyncLinks is the asynchronous regime of the Section 4.2 open
 	// issues: common-case delay MaxDelay, TailProb stragglers at 10×.
@@ -354,8 +358,21 @@ func partitionWindow(p ScenarioParams) (start, heal int64) {
 var (
 	// SelfishWithholding replaces process 0 with a selfish miner holding
 	// merit share Params.Alpha.
-	SelfishWithholding = AdversaryPlan{Name: "selfish", Run: runSelfishMining}
+	SelfishWithholding = AdversaryPlan{
+		Name: "selfish", label: "Bitcoin+selfish(α=%.2f)",
+		refinement: "R(BT-ADT_EC, Θ_P) under adversarial withholding",
+		honest:     func(pr peer) process { return &powNode{pr} },
+		adversary: func(pr peer) (process, *selfishMiner) {
+			m := &selfishMiner{peer: pr}
+			return m, m
+		},
+		census: selfishCensus,
+	}
 	// FruitWithholding runs the same withholding miner against honest
 	// FruitChain miners; its withheld blocks include only its own fruits.
-	FruitWithholding = AdversaryPlan{Name: "fruit-selfish", Run: runFruitChainAttack}
+	FruitWithholding = AdversaryPlan{
+		Name: "fruit-selfish", label: "FruitChain+selfish(α=%.2f)",
+		refinement: "R(BT-ADT_EC, Θ_P) — fair rewards via fruits",
+		honest:     newFruitNode, adversary: newFruitSelfishMiner, census: fruitCensus,
+	}
 )

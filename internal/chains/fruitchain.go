@@ -8,7 +8,6 @@ import (
 	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
-	"blockadt/internal/prng"
 )
 
 // This file implements the FruitChain protocol (Pass & Shi), which
@@ -70,18 +69,12 @@ func DecodeFruits(payload []byte) []Fruit {
 // high-rate tape, gossips fruits, and includes every pending fruit it has
 // seen into the blocks it wins.
 type fruitNode struct {
-	rep       *netsim.Replica
-	orc       *oracle.Oracle
+	powNode
 	fruitTape *oracle.Tape
-	merit     int
-	params    Params
-	counter   int
 	fruitSeq  int
 	// pending are fruits seen but not yet observed inside the local
 	// selected chain.
 	pending map[string]Fruit
-	names   nameMemo
-	done    *bool
 }
 
 // OnTimer implements netsim.Handler.
@@ -95,10 +88,7 @@ func (n *fruitNode) OnTimer(s *netsim.Sim, tag string) {
 		n.mineBlock(s)
 		s.TimerAt(n.rep.ID(), s.Now()+n.params.MineInterval, mineTimer)
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.read(s)
 	}
 }
 
@@ -114,26 +104,12 @@ func (n *fruitNode) mineFruit(s *netsim.Sim) {
 
 func (n *fruitNode) mineBlock(s *netsim.Sim) {
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.counter)
-	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
+	b, ok := n.tryAppend(s, parent, n.names.get(parent.Height+1, n.rep.ID(), n.counter))
 	if !ok {
 		return
 	}
-	n.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
 	// Include every pending fruit not already on the selected chain.
-	included := n.harvest()
-	b := blocktree.Block{
-		ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID,
-		Proposer: n.merit, Payload: encodeFruits(included),
-	}
+	b.Payload = encodeFruits(n.harvest())
 	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
@@ -175,82 +151,37 @@ func (n *fruitNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 	}
 }
 
-// runFruitChainAttack is the FruitWithholding plan's driver: N-1 honest
-// FruitChain miners against the same selfish block-withholding adversary
-// as runSelfishMining, with Params.Alpha as the merit share. The
-// adversary also mines fruits (at its merit rate) but its withheld
-// blocks include only its own fruits, the worst case for honest rewards.
-// The census (block authorship vs fruit rewards) lands on
-// Result.Adversary.
-func runFruitChainAttack(sc Scenario) Result {
-	p, alpha := sc.Params.Params, sc.Params.Alpha
-	p = p.withDefaults()
-	total := p.TokenProb * float64(p.N)
-	merits := make([]float64, p.N)
-	merits[0] = total * alpha
-	for i := 1; i < p.N; i++ {
-		merits[i] = total * (1 - alpha) / float64(p.N-1)
+// newFruitNode builds an honest FruitChain miner; its fruit tape runs
+// at ten times its block merit.
+func newFruitNode(pr peer) process {
+	return &fruitNode{
+		powNode:   powNode{pr},
+		fruitTape: oracle.NewTape(pr.params.Seed^0xF007, pr.merit, 10*pr.params.Merits[pr.merit]),
+		pending:   map[string]Fruit{},
 	}
-	p.Merits = merits
+}
 
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
-	orc := newProdigal(p)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-
-	// The adversary: selfish block miner + own-fruit inclusion.
-	adv := &fruitSelfishMiner{
-		selfishMiner: selfishMiner{
-			rep:    netsim.NewReplica(0, blocktree.HeaviestChain{}, sim.Recorder()),
-			orc:    orc,
-			merit:  0,
-			params: p,
-			done:   &done,
-		},
-		fruitTape: oracle.NewTape(p.Seed^0xF007, 0, 10*merits[0]),
+// newFruitSelfishMiner builds the FruitWithholding adversary: the
+// selfish block miner plus own-fruit inclusion.
+func newFruitSelfishMiner(pr peer) (process, *selfishMiner) {
+	m := &fruitSelfishMiner{
+		selfishMiner: selfishMiner{peer: pr},
+		fruitTape:    oracle.NewTape(pr.params.Seed^0xF007, 0, 10*pr.params.Merits[0]),
 	}
-	adv.private = adv.rep.Tree().Clone()
-	reps[0] = adv.rep
-	sim.Register(0, adv)
-	sim.TimerAt(0, 1, mineTimer)
+	return m, &m.selfishMiner
+}
 
-	for i := 1; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplica(id, blocktree.HeaviestChain{}, sim.Recorder())
-		reps[id] = rep
-		node := &fruitNode{
-			rep: rep, orc: orc, merit: i, params: p,
-			fruitTape: oracle.NewTape(p.Seed^0xF007, i, 10*merits[i]),
-			pending:   map[string]Fruit{},
-			done:      &done,
-		}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
-	}
-
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	adv.publish(sim, len(adv.withheld))
-	sim.Run(t + 64 + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	final := blocktree.HeaviestChain{}.Select(reps[1].Tree())
+// fruitCensus compares block authorship with fruit rewards over an
+// honest replica's final chain.
+func fruitCensus(alpha float64, _ *history.History, final blocktree.Chain) *AdversaryStats {
 	blockCensus := map[history.ProcID]int{}
 	rewardCensus := map[history.ProcID]int{}
+	totalRewards := 0
 	for _, b := range final[1:] {
 		blockCensus[history.ProcID(b.Proposer)]++
 		for _, f := range DecodeFruits(b.Payload) {
 			rewardCensus[f.Miner]++
+			totalRewards++
 		}
 	}
 	stats := &AdversaryStats{
@@ -260,35 +191,13 @@ func runFruitChainAttack(sc Scenario) Result {
 		FruitRewardByProc: rewardCensus,
 		FinalChain:        final,
 	}
-	totalBlocks, totalRewards := 0, 0
-	for _, n := range blockCensus {
-		totalBlocks += n
-	}
-	for _, n := range rewardCensus {
-		totalRewards += n
-	}
-	if totalBlocks > 0 {
+	if totalBlocks := len(final) - 1; totalBlocks > 0 {
 		stats.AdversaryBlockShare = float64(blockCensus[0]) / float64(totalBlocks)
 	}
 	if totalRewards > 0 {
 		stats.AdversaryRewardShare = float64(rewardCensus[0]) / float64(totalRewards)
 	}
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       fmt.Sprintf("FruitChain+selfish(α=%.2f)", alpha),
-		Refinement:   "R(BT-ADT_EC, Θ_P) — fair rewards via fruits",
-		OracleName:   orc.Name(),
-		SelectorName: "heaviest",
-		K:            oracle.Unbounded,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-		Adversary:    stats,
-	}
+	return stats
 }
 
 // fruitSelfishMiner extends the selfish block miner with adversarial fruit
@@ -331,6 +240,3 @@ func (m *fruitSelfishMiner) OnMessage(s *netsim.Sim, msg netsim.Message) {
 	}
 	m.selfishMiner.OnMessage(s, msg)
 }
-
-// hash helper kept for deterministic fruit jitter if needed later.
-var _ = prng.Mix

@@ -25,16 +25,14 @@ import (
 // propose one candidate block per slot; every decision is applied, in slot
 // order, to the local tree.
 type pbftChainNode struct {
+	peer
 	bft     *pbft.Replica
-	tree    *netsim.Replica
-	params  Params
 	writers int
 	slot    int
 	// decided buffers out-of-order slot decisions until their
 	// predecessor slot has been applied.
 	decided map[int]pbft.Value
 	applied int
-	done    *bool
 }
 
 // slotValue encodes (proposer, block id) so the decided value names its
@@ -55,6 +53,11 @@ func parseSlotValue(v pbft.Value) (history.ProcID, blocktree.BlockID) {
 
 const slotTimer = "slot"
 
+func (n *pbftChainNode) start(s *netsim.Sim) {
+	s.TimerAt(n.rep.ID(), 1, slotTimer)
+	n.startReads(s)
+}
+
 // OnTimer implements netsim.Handler.
 func (n *pbftChainNode) OnTimer(s *netsim.Sim, tag string) {
 	switch tag {
@@ -64,19 +67,16 @@ func (n *pbftChainNode) OnTimer(s *netsim.Sim, tag string) {
 		}
 		slot := n.slot
 		n.slot++
-		if int(n.tree.ID()) < n.writers {
-			n.bft.Propose(s, slot, slotValue(slot, n.tree.ID()))
+		if int(n.rep.ID()) < n.writers {
+			n.bft.Propose(s, slot, slotValue(slot, n.rep.ID()))
 		} else {
 			// Non-writers still run the PBFT replica (they vote) but
 			// propose nothing.
 			n.bft.Propose(s, slot, "")
 		}
-		s.TimerAt(n.tree.ID(), s.Now()+3*n.params.Delta, slotTimer)
+		s.TimerAt(n.rep.ID(), s.Now()+3*n.params.Delta, slotTimer)
 	case readTimer:
-		n.tree.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.tree.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.read(s)
 	default:
 		n.bft.OnTimer(s, tag)
 	}
@@ -98,16 +98,16 @@ func (n *pbftChainNode) onDecide(s *netsim.Sim, slot int, v pbft.Value) {
 		}
 		proposer, block := parseSlotValue(val)
 		if block != "" {
-			parent := n.tree.Selected().Tip().ID
+			parent := n.rep.Selected().Tip().ID
 			// The proposer's replica records the append operation the
 			// history criteria quantify over; every replica records
 			// its local update.
-			if n.tree.ID() == proposer {
+			if n.rep.ID() == proposer {
 				op := rec.Invoke(proposer, history.Label{Kind: history.KindAppend, Block: block})
 				rec.Respond(op, history.Label{Kind: history.KindAppend, Block: block, Parent: parent, OK: true})
 			}
 			b := blocktree.Block{ID: block, Parent: parent, Work: 1, Token: uint64(n.applied + 1), Proposer: int(proposer)}
-			if n.tree.Tree().Has(parent) {
+			if n.rep.Tree().Has(parent) {
 				// Apply locally; recorded as an update event.
 				n.applyLocal(s, parent, b, proposer)
 			}
@@ -119,11 +119,11 @@ func (n *pbftChainNode) onDecide(s *netsim.Sim, slot int, v pbft.Value) {
 func (n *pbftChainNode) applyLocal(s *netsim.Sim, parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
 	// Reuse the replica's update path without a network hop: the PBFT
 	// decision certificate *is* the dissemination.
-	n.tree.OnMessage(s, netsim.Message{Kind: netsim.UpdateMsg, Parent: parent, Block: b.ID, Origin: origin, Payload: b})
-	if origin == n.tree.ID() {
+	n.rep.OnMessage(s, netsim.Message{Kind: netsim.UpdateMsg, Parent: parent, Block: b.ID, Origin: origin, Payload: b})
+	if origin == n.rep.ID() {
 		// Self-origin updates are skipped by OnMessage (they assume
 		// CreateAndBroadcast applied them); apply directly.
-		n.tree.ApplyDecided(parent, b, origin)
+		n.rep.ApplyDecided(parent, b, origin)
 	}
 }
 
@@ -144,67 +144,23 @@ func (PBFTChain) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1) — commit
 // Expected implements System.
 func (PBFTChain) Expected() consistency.Level { return consistency.LevelSC }
 
-// Run implements System.
+// Run implements System: writers propose per 3δ slot, every process
+// votes, and the run drains 32δ after the target.
 func (PBFTChain) Run(p Params) Result {
 	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
-	}
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-	nodes := make([]*pbftChainNode, p.N)
-	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		tree := netsim.NewReplica(id, blocktree.SingleChain{}, sim.Recorder())
-		reps[id] = tree
-		node := &pbftChainNode{
-			tree:    tree,
-			params:  p,
-			writers: writers,
-			decided: map[int]pbft.Value{},
-			done:    &done,
-		}
-		node.bft = pbft.NewReplica(id, pbft.Config{
-			N:           p.N,
-			ViewTimeout: 8 * p.Delta,
-			OnDecide:    func(r *pbft.Replica, slot int, v pbft.Value) { node.onDecide(sim, slot, v) },
-		})
-		nodes[i] = node
-		sim.Register(id, node)
-		sim.TimerAt(id, 1, slotTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
-	}
-
-	var t int64
-	step := 3 * p.Delta
-	for t = 0; t < p.MaxTicks; t += step {
-		sim.Run(t + step)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	sim.Run(t + step + 32*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       "PBFT-chain",
-		Refinement:   "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT",
-		OracleName:   "pbft(n=" + fmt.Sprint(p.N) + ")",
-		SelectorName: blocktree.SingleChain{}.Name(),
-		K:            1,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-	}
+	writers := p.writers()
+	return drive(run{
+		p: p, name: PBFTChain{}.Name(), refinement: PBFTChain{}.Refinement(),
+		oracle: fmt.Sprintf("pbft(n=%d)", p.N), sel: blocktree.SingleChain{}, k: 1,
+		step: 3 * p.Delta, tail: 32 * p.Delta,
+		node: func(s *netsim.Sim, pr peer) process {
+			n := &pbftChainNode{peer: pr, writers: writers, decided: map[int]pbft.Value{}}
+			n.bft = pbft.NewReplica(pr.rep.ID(), pbft.Config{
+				N:           p.N,
+				ViewTimeout: 8 * p.Delta,
+				OnDecide:    func(_ *pbft.Replica, slot int, v pbft.Value) { n.onDecide(s, slot, v) },
+			})
+			return n
+		},
+	})
 }

@@ -3,29 +3,26 @@ package chains
 import (
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
-	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
 )
+
+// This file holds the permissionless proof-of-work systems. Their
+// behaviour is powNode, the honest miner; powRun hands it to the one
+// driver (drive.go) with the prodigal oracle Θ_P and the system's
+// selection function. The same run, with a link model or a topology
+// added, is what Execute runs for every non-default network.
 
 // powNode is a proof-of-work miner: at every mining tick it invokes
 // getToken on the tip of its locally selected chain (the PoW attempt,
 // Section 5.1); a granted token is consumed (always possible with Θ_P) and
 // the resulting valid block is flooded with the LRC broadcast.
-type powNode struct {
-	rep     *netsim.Replica
-	orc     *oracle.Oracle
-	merit   int
-	params  Params
-	counter int
-	names   nameMemo
-	done    *bool
-}
+type powNode struct{ peer }
 
-const (
-	mineTimer = "mine"
-	readTimer = "read"
-)
+func (n *powNode) start(s *netsim.Sim) {
+	s.TimerAt(n.rep.ID(), 1+int64(n.merit)%n.params.MineInterval, mineTimer)
+	n.startReads(s)
+}
 
 // OnTimer implements netsim.Handler.
 func (n *powNode) OnTimer(s *netsim.Sim, tag string) {
@@ -36,10 +33,7 @@ func (n *powNode) OnTimer(s *netsim.Sim, tag string) {
 			s.TimerAt(n.rep.ID(), s.Now()+n.params.MineInterval, mineTimer)
 		}
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.read(s)
 	}
 }
 
@@ -50,95 +44,19 @@ func (n *powNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 
 func (n *powNode) mine(s *netsim.Sim) {
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.counter)
-	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
-	if !ok {
-		return
+	if b, ok := n.tryAppend(s, parent, n.names.get(parent.Height+1, n.rep.ID(), n.counter)); ok {
+		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}
-	n.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: n.merit}
-	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
-// runPoW drives a permissionless PoW network with the given selector over
-// synchronous links and returns its result.
-func runPoW(name, refinement string, sel blocktree.Selector, p Params) Result {
-	return runPoWTopo(name, refinement, sel, nil, nil, p)
-}
-
-// runPoWTopo is runPoW with an explicit link model (nil = synchronous with
-// bound Delta) and dissemination topology (nil = complete-graph broadcast;
-// non-nil switches replicas to Gossiper flooding over the topology). The
-// asynchronous variants back the Section 4.2 open-issue experiments:
-// Eventual Prefix under unbounded delay.
-func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.LinkModel, topo netsim.Topology, p Params) Result {
+// powRun is the run of a permissionless PoW network of honest miners
+// over synchronous links, drained to idle once the target is reached.
+func powRun(sys System, sel blocktree.Selector, p Params) run {
 	p = p.withDefaults()
-	if links == nil {
-		links = netsim.Synchronous{Delta: p.Delta}
-	}
-	sim := netsim.New(links, p.Seed)
-	orc := newProdigal(p)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplicaCap(id, sel, sim.Recorder(), p.TargetBlocks+p.TargetBlocks/2)
-		if topo != nil {
-			rep.EnableGossip(topo)
-		}
-		reps[id] = rep
-		node := &powNode{rep: rep, orc: orc, merit: i, params: p, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
-	}
-
-	// Run in slices, stopping the mining phase once the target chain
-	// length is reached, then drain in-flight messages and take a final
-	// round of reads so the history exhibits convergence.
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	// Drain every in-flight message before the final convergence reads.
-	// A fixed window (the old `sim.Run(t + 64 + 16*p.Delta)`) is wrong
-	// under heavy-tail links: a Jitter straggler or an Asynchronous tail
-	// can exceed any constant multiple of Delta, leaving deliveries
-	// pending when the reads run — a harness artifact the consistency
-	// checkers then misattribute to the model. RunToIdle stops at the last
-	// real delivery; the cap only bounds runaway schedules.
-	sim.RunToIdle(t + 64 + p.MaxTicks)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       name,
-		Refinement:   refinement,
-		OracleName:   orc.Name(),
-		SelectorName: sel.Name(),
-		K:            oracle.Unbounded,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
+	return run{
+		p: p, name: sys.Name(), refinement: sys.Refinement(), orc: newProdigal(p),
+		sel: sel, k: oracle.Unbounded, step: 64,
+		node: func(_ *netsim.Sim, pr peer) process { return &powNode{pr} },
 	}
 }
 
@@ -160,7 +78,7 @@ func (Bitcoin) Expected() consistency.Level { return consistency.LevelEC }
 
 // Run implements System.
 func (Bitcoin) Run(p Params) Result {
-	return runPoW("Bitcoin", Bitcoin{}.Refinement(), blocktree.HeaviestChain{}, p)
+	return drive(powRun(Bitcoin{}, blocktree.HeaviestChain{}, p))
 }
 
 // Ethereum is Section 5.2: as Bitcoin but the merit parameter models
@@ -179,5 +97,5 @@ func (Ethereum) Expected() consistency.Level { return consistency.LevelEC }
 
 // Run implements System.
 func (Ethereum) Run(p Params) Result {
-	return runPoW("Ethereum", Ethereum{}.Refinement(), blocktree.GHOST{}, p)
+	return drive(powRun(Ethereum{}, blocktree.GHOST{}, p))
 }

@@ -31,15 +31,12 @@ import (
 //	  lead was 2  → publish everything (overrides the honest block);
 //	  lead  > 2   → publish enough blocks to stay one ahead.
 type selfishMiner struct {
-	rep      *netsim.Replica // public view (honest chain as received)
-	private  *blocktree.Tree // public view + withheld private branch
-	orc      *oracle.Oracle
-	merit    int
-	params   Params
-	counter  int
+	peer                       // rep is the public view (honest chain as received)
+	private  *blocktree.Tree   // public view + withheld private branch
 	withheld []blocktree.Block // private blocks not yet published
-	done     *bool
 }
+
+func (m *selfishMiner) start(s *netsim.Sim) { s.TimerAt(m.rep.ID(), 1, mineTimer) }
 
 func (m *selfishMiner) publicTip() blocktree.Block {
 	return blocktree.HeaviestChain{}.Select(m.rep.Tree()).Tip()
@@ -62,21 +59,8 @@ func (m *selfishMiner) OnTimer(s *netsim.Sim, tag string) {
 	// Eyal–Sirer analysis (every honest miner that sees both blocks of a
 	// race mines on the adversary's), the strategy's best case.
 	candidate := blocktree.BlockID(fmt.Sprintf("b%04d-z%02d-%04d", parent.Height+1, m.rep.ID(), m.counter))
-	tok, ok := m.orc.GetToken(m.merit, parent.ID, candidate)
-	if !ok {
-		return
-	}
-	m.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(m.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := m.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: m.merit}
-	if err := m.private.Insert(b); err != nil {
+	b, ok := m.tryAppend(s, parent, candidate)
+	if !ok || m.private.Insert(b) != nil {
 		return
 	}
 	m.withheld = append(m.withheld, b)
@@ -134,117 +118,61 @@ func (m *selfishMiner) publish(s *netsim.Sim, n int) {
 	m.withheld = m.withheld[n:]
 }
 
-// OnTimerRead is unused; reads come from honest observers.
-
-// runSelfishMining is the SelfishWithholding plan's driver: N-1 honest
-// miners against one selfish miner (process 0) holding fraction
-// Params.Alpha of the total mining power. The census lands on
-// Result.Adversary.
-func runSelfishMining(sc Scenario) Result {
-	p, alpha := sc.Params.Params, sc.Params.Alpha
+// withholding is the run of a withholding plan: N-1 honest miners
+// against the plan's withholding miner at process 0, which holds fraction
+// alpha of the aggregate attempt rate. Both plans share its process-count
+// normalization and merit split. Once mining stops the adversary
+// publishes its remaining lead so the run ends in a quiescent state; the
+// plan's census lands on Result.Adversary.
+func withholding(a AdversaryPlan, sp ScenarioParams) run {
+	p, alpha := sp.Params, sp.Alpha
 	p.N = NormalizeSelfishN(p.N)
 	p = p.withDefaults()
-	// Merit tapes: adversary gets alpha of the aggregate attempt rate.
 	total := p.TokenProb * float64(p.N)
-	merits := make([]float64, p.N)
-	merits[0] = total * alpha
+	p.Merits = make([]float64, p.N)
+	p.Merits[0] = total * alpha
 	for i := 1; i < p.N; i++ {
-		merits[i] = total * (1 - alpha) / float64(p.N-1)
+		p.Merits[i] = total * (1 - alpha) / float64(p.N-1)
 	}
-	p.Merits = merits
-
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
-	orc := newProdigal(p)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-
-	adv := &selfishMiner{
-		rep:    netsim.NewReplica(0, blocktree.HeaviestChain{}, sim.Recorder()),
-		orc:    orc,
-		merit:  0,
-		params: p,
-		done:   &done,
+	var adv *selfishMiner
+	return run{
+		p: p, name: fmt.Sprintf(a.label, alpha), refinement: a.refinement, orc: newProdigal(p),
+		sel: blocktree.HeaviestChain{}, k: oracle.Unbounded, step: 64, tail: 16 * p.Delta,
+		node: func(_ *netsim.Sim, pr peer) process {
+			if pr.merit != 0 {
+				return a.honest(pr)
+			}
+			h, m := a.adversary(pr)
+			m.private = m.rep.Tree().Clone()
+			adv = m
+			return h
+		},
+		beforeDrain: func(s *netsim.Sim) { adv.publish(s, len(adv.withheld)) },
+		census: func(h *history.History, reps []*netsim.Replica) *AdversaryStats {
+			return a.census(alpha, h, blocktree.HeaviestChain{}.Select(reps[1].Tree()))
+		},
 	}
-	adv.private = adv.rep.Tree().Clone()
-	reps[0] = adv.rep
-	sim.Register(0, adv)
-	sim.TimerAt(0, 1, mineTimer)
+}
 
-	for i := 1; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplica(id, blocktree.HeaviestChain{}, sim.Recorder())
-		reps[id] = rep
-		node := &powNode{rep: rep, orc: orc, merit: i, params: p, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
-	}
-
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	// Final reveal: the adversary publishes its remaining lead so the
-	// run ends in a quiescent state.
-	adv.publish(sim, len(adv.withheld))
-	sim.Run(t + 64 + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	// Count main-chain authorship at an honest replica.
-	final := blocktree.HeaviestChain{}.Select(reps[1].Tree())
-	advBlocks, honBlocks := 0, 0
-	byProc := map[history.ProcID]int{}
+// selfishCensus counts mined blocks and main-chain authorship at an
+// honest replica's final chain.
+func selfishCensus(alpha float64, h *history.History, final blocktree.Chain) *AdversaryStats {
+	stats := &AdversaryStats{AdversaryMerit: alpha, MainChainByProc: map[history.ProcID]int{}}
 	for _, b := range final[1:] {
-		byProc[history.ProcID(b.Proposer)]++
-		if b.Proposer == 0 {
-			advBlocks++
-		} else {
-			honBlocks++
-		}
+		stats.MainChainByProc[history.ProcID(b.Proposer)]++
 	}
-	stats := &AdversaryStats{
-		AdversaryMerit:  alpha,
-		MainChainByProc: byProc,
-	}
-	h := sim.Recorder().Finalize()
-	mined := map[history.ProcID]int{}
 	for _, id := range h.SuccessfulAppends() {
-		mined[h.Op(id).Proc]++
-	}
-	for pID, n := range mined {
-		if pID == 0 {
-			stats.AdversaryMined += n
+		if h.Op(id).Proc == 0 {
+			stats.AdversaryMined++
 		} else {
-			stats.HonestMined += n
+			stats.HonestMined++
 		}
 	}
 	mainLen := len(final) - 1
-	if mainLen > 0 {
+	if advBlocks := stats.MainChainByProc[0]; mainLen > 0 {
 		stats.AdversaryShare = float64(advBlocks) / float64(mainLen)
-		stats.HonestShare = float64(honBlocks) / float64(mainLen)
+		stats.HonestShare = float64(mainLen-advBlocks) / float64(mainLen)
 	}
 	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - mainLen
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       fmt.Sprintf("Bitcoin+selfish(α=%.2f)", alpha),
-		Refinement:   "R(BT-ADT_EC, Θ_P) under adversarial withholding",
-		OracleName:   orc.Name(),
-		SelectorName: "heaviest",
-		K:            oracle.Unbounded,
-		History:      h,
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-		Adversary:    stats,
-	}
+	return stats
 }

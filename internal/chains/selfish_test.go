@@ -5,6 +5,7 @@ import (
 
 	"blockadt/internal/consistency"
 	"blockadt/internal/fairness"
+	"blockadt/internal/history"
 )
 
 // runSelfish executes the withholding plan through the unified executor.
@@ -100,5 +101,30 @@ func TestSelfishMiningStillEventuallyConsistent(t *testing.T) {
 	ec := consistency.CheckEC(res.History, opts)
 	if !ec.Satisfied() {
 		t.Fatalf("selfish run lost eventual consistency:\n%s", ec)
+	}
+}
+
+// TestWithholdingPlansNormalizeN: both withholding plans share one
+// process-count normalization. N=0 runs the default 8 processes and N=1
+// is raised to the adversarial minimum of one honest miner, so every run
+// reaches its target and every process that ran takes its final read. A
+// lone withholding miner never publishes, so without the normalization
+// an N=1 run spins to MaxTicks and then has no honest replica to census.
+func TestWithholdingPlansNormalizeN(t *testing.T) {
+	for _, plan := range []AdversaryPlan{SelfishWithholding, FruitWithholding} {
+		for _, n := range []int{0, 1, 2} {
+			p := Params{N: n, TargetBlocks: 10, Seed: 5}
+			res := execScenario(t, Scenario{Adversary: plan, Params: ScenarioParams{Params: p, Alpha: 0.3}})
+			if res.Blocks < p.TargetBlocks || res.Adversary == nil {
+				t.Fatalf("%s N=%d: %d blocks, census %v", plan.Name, n, res.Blocks, res.Adversary)
+			}
+			readers := map[history.ProcID]bool{}
+			for _, id := range res.History.Reads() {
+				readers[res.History.Op(id).Proc] = true
+			}
+			if want := NormalizeSelfishN(n); len(readers) != want {
+				t.Fatalf("%s N=%d: %d processes read, want %d", plan.Name, n, len(readers), want)
+			}
+		}
 	}
 }

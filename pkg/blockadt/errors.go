@@ -44,9 +44,9 @@ func (e *UnknownNameError) Error() string {
 func (e *UnknownNameError) Is(target error) bool { return target == ErrUnknownName }
 
 // convertExecuteErr lifts the executor's typed failures into the
-// façade's error vocabulary: a system outside the generic PoW driver's
-// support set surfaces as the same *UnknownNameError a registry miss
-// produces (Kind "system", Registered = the driver's support set).
+// façade's error vocabulary: a system outside the PoW support set of
+// the non-default networks surfaces as the same *UnknownNameError a
+// registry miss produces (Kind "system", Registered = that support set).
 // Other executor errors (composition mistakes) pass through unchanged.
 func convertExecuteErr(err error) error {
 	var ue *chains.UnknownSystemError

@@ -25,7 +25,7 @@ const (
 // The three dissemination topologies self-register. "complete" is the
 // default (nil Plan: the system's own broadcast runs untouched); the
 // non-default topologies compose the executor's gossip and clustered
-// plans. Both run on the generic PoW driver and model honest
+// plans. Both run only on the PoW systems and model honest
 // dissemination, so they support the PoW systems under any link model
 // but no adversary (the adversarial strategies assume direct broadcast).
 func init() {
